@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from amgforge import problems, smoothers
+from amgforge.analysis import materialize
 
 a = problems.fd_poisson_5pt(15)
 n = a.n_rows
@@ -27,19 +28,22 @@ for name, s in (("gauss-seidel", gs), ("damped jacobi", jac)):
 # The symmetrized Gauss-Seidel iterator has the closed form
 # (D+U)^{-1} D (D+L)^{-1}; two half-sweeps realize it matrix-free.
 a2 = problems.laplace_1d(2)
-rbar = smoothers.symmetrize(smoothers.GaussSeidel(a2)).dense_matrix()
+rbar = materialize(smoothers.symmetrize(smoothers.GaussSeidel(a2)).action, 2)
 print("\nsymmetrized GS on tridiag(-1,2,-1)_2:")
 print(rbar, "(= [[5/8, 1/4], [1/4, 1/2]])")
 
 # Jacobi and Gauss-Seidel are the two extreme subspace-correction methods:
 # additive (parallel) and successive corrections over the coordinate axes.
+# Successive subspace correction is BlockGaussSeidel on the same subspaces.
 t = problems.laplace_1d(5)
-psc = smoothers.build_psc([[i] for i in range(5)], t)
-ssc = smoothers.build_ssc([[i] for i in range(5)], t)
+axes = [[i] for i in range(5)]
+psc = smoothers.SubspaceCorrection(t, axes)
+ssc = smoothers.BlockGaussSeidel(t, axes)
 print("\nPSC == Jacobi:",
-      np.allclose(psc.dense_iterator(), np.diag(1.0 / t.diagonal())))
+      np.allclose(materialize(psc.action, 5), np.diag(1.0 / t.diagonal())))
 print("SSC == forward GS:",
-      np.allclose(ssc.dense_iterator(), smoothers.GaussSeidel(t).dense_iterator()))
+      np.allclose(materialize(ssc.action, 5),
+                  materialize(smoothers.GaussSeidel(t).action, 5)))
 
 # Anisotropic problems defeat point smoothing; line blocks along the strong
 # direction restore it.

@@ -16,7 +16,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
-from .linalg import SymPseudoInverse
+# Unused since Hierarchy.from_levels factors; perfbench/tracer.py patches this name.
+from .linalg import SymPseudoInverse  # noqa: F401
 from .smoothers import make_smoother
 
 
@@ -198,17 +199,11 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, restrict, theta, max_levels=2
             p = interpolation.ua_prolongation(part, cur_psi)
         else:
             raise ValueError(f"unknown restrict mode {restrict!r}")
-        pre = make_smoother(current, smoother_kind)
-        levels.append(hmod.Level(current, p, pre, pre.adjoint(), s, part))
+        levels.append(hmod.Level(current, p, smoother, smoother.adjoint(), s, part))
         parts.append(part)
         current = sparse.galerkin_product(p.matrix, current)
         cur_psi = psi_c
-    nnz0 = max(levels[0].a.nnz, 1)
-    h = hmod.Hierarchy(
-        levels, SymPseudoInverse(levels[-1].a.toarray()),
-        grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
-        operator_complexity=sum(l.a.nnz for l in levels) / nnz0)
-    return h, vectors, parts
+    return hmod.Hierarchy.from_levels(levels), vectors, parts
 
 
 def _cycle_delta(a, h, psi, q):
@@ -335,14 +330,6 @@ def asa_add_vector(state, psi, delta=0.7):
                 f"vector rejected: aggregate {agg} rank-deficient after append")
             return new_state
 
-    def assemble(levels, coarsest):
-        lv = levels + [hmod.Level(coarsest)]
-        nnz0 = max(lv[0].a.nnz, 1)
-        return hmod.Hierarchy(
-            lv, SymPseudoInverse(coarsest.toarray()),
-            grid_complexity=sum(l.a.n_rows for l in lv) / lv[0].a.n_rows,
-            operator_complexity=sum(l.a.nnz for l in lv) / nnz0)
-
     levels, vectors = [], []
     current, cur_psi = a, psi_block
     h = state.hierarchy
@@ -364,7 +351,7 @@ def asa_add_vector(state, psi, delta=0.7):
             bridged.append(hmod.Level(current, bridge_p, pre_b, pre_b.adjoint(),
                                       None, state.aggregates[depth + 1]))
             tail_a = sparse.galerkin_product(bridge_p.matrix, current)
-            h = assemble(bridged, tail_a)
+            h = hmod.Hierarchy.from_levels(bridged + [hmod.Level(tail_a)])
             measured, _ = _cycle_delta(a, h, psi[:, None], state.q)
             if measured <= delta:
                 new_state = AdaptiveState(
@@ -375,7 +362,7 @@ def asa_add_vector(state, psi, delta=0.7):
                     state.smoother, state.q, state.seed, state.restrict)
                 return new_state
     vectors.append(TestVectorSet(cur_psi.copy()))
-    h = assemble(levels, current)
+    h = hmod.Hierarchy.from_levels(levels + [hmod.Level(current)])
     measured, _ = _cycle_delta(a, h, psi[:, None], state.q)
     return AdaptiveState(h, vectors, state.aggregates, measured,
                          state.delta_history + [measured], state.rounds,
@@ -404,10 +391,7 @@ def asa_initial_state(a, partitions, psi0, smoother="gs", q=4, seed=0):
         cur_psi = _restrict_asa(part, cur_psi)
     vectors.append(TestVectorSet(cur_psi.copy()))
     levels.append(hmod.Level(current))
-    nnz0 = max(levels[0].a.nnz, 1)
-    h = hmod.Hierarchy(levels, SymPseudoInverse(current.toarray()),
-                       grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
-                       operator_complexity=sum(l.a.nnz for l in levels) / nnz0)
+    h = hmod.Hierarchy.from_levels(levels)
     delta, _ = _cycle_delta(a, h, psi0, q)
     return AdaptiveState(h, vectors, list(partitions), delta, [delta], 0, [],
                          smoother, q, seed, "asa")

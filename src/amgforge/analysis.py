@@ -25,12 +25,13 @@ def materialize(action, n):
 
 
 def _rbar_matrix(rbar, n):
+    """Symmetric part of Rbar, given as a smoother or a dense n x n array."""
     if isinstance(rbar, Smoother):
-        return materialize(rbar.action, n)
+        rbar = materialize(rbar.action, n)
     rbar = np.asarray(rbar, dtype=float)
     if rbar.shape != (n, n):
         raise ValueError("Rbar has the wrong shape")
-    return rbar
+    return 0.5 * (rbar + rbar.T)
 
 
 def _range_basis(a_dense, kernel):
@@ -163,7 +164,6 @@ def k_of_vc(a, rbar, p, kernel=None):
     if n > DENSE_CAP:
         raise ValueError("K(V_c) is a dense oracle; n exceeds the cap")
     rbar_m = _rbar_matrix(rbar, n)
-    rbar_m = 0.5 * (rbar_m + rbar_m.T)
     w = scipy.linalg.eigh(rbar_m, eigvals_only=True)
     if w[0] <= 0.0:
         raise ValueError("Rbar must be SPD (smoother not A-convergent)")
@@ -199,7 +199,6 @@ def optimal_coarse_space(a, rbar, n_c):
     if n > DENSE_CAP:
         raise ValueError("optimal coarse space is a dense oracle; n exceeds the cap")
     rbar_m = _rbar_matrix(rbar, n)
-    rbar_m = 0.5 * (rbar_m + rbar_m.T)
     w, v = scipy.linalg.eigh(rbar_m)
     if w[0] <= 0.0:
         raise ValueError("Rbar must be SPD")
@@ -229,7 +228,7 @@ def trace_check(a, rbar, p_opt, candidates, tol=1e-9):
     """Ky-Fan trace bound: no Rbar^{-1}-orthonormal basis of matching width
     can push trace(Q' A Q) below the sum of the n_c smallest eigenvalues."""
     n = a.n_rows
-    rbar_m = 0.5 * (_rbar_matrix(rbar, n) + _rbar_matrix(rbar, n).T)
+    rbar_m = _rbar_matrix(rbar, n)
     rinv = np.linalg.inv(rbar_m)
     a_dense = a.toarray()
     _, mu = optimal_coarse_space(a, rbar_m, p_opt.shape[1])
@@ -257,7 +256,7 @@ def classify_frequencies(a, rbar, v, eps, delta):
     if not np.any(v):
         raise ValueError("cannot classify the zero vector")
     n = a.n_rows
-    rbar_m = 0.5 * (_rbar_matrix(rbar, n) + _rbar_matrix(rbar, n).T)
+    rbar_m = _rbar_matrix(rbar, n)
     energy = float(v @ (a.mat @ v))
     rnorm = float(v @ np.linalg.solve(rbar_m, v))
     if energy <= eps * rnorm:

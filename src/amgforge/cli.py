@@ -3,12 +3,12 @@
 Configuration is a flat key=value file ('#' starts a comment); command-line
 flags override file entries, unknown keys are rejected, and every run echoes
 its fully resolved configuration so it can be reproduced bit-identically.
-Exit codes: 0 ok, 1 usage error, 2 nonconvergence, 3 internal error.
+Exit codes: 0 ok, 1 usage error, 2 nonconvergence or failed setup,
+3 internal error.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -95,15 +95,6 @@ def echo_config(cfg, stream=None):
     stream = stream if stream is not None else sys.stdout
     for key in sorted(cfg):
         stream.write(f"# config {key}={cfg[key]}\n")
-
-
-def worker_cap():
-    """Worker-count cap from AMGFORGE_THREADS (>=1); modules stay within it."""
-    raw = os.environ.get("AMGFORGE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def setup_config_from(cfg):
@@ -194,7 +185,7 @@ _BUILDERS = ("ideal", "direct", "standard", "ua", "sa", "energymin")
 
 
 def _analyze_rows(cfg):
-    from . import coarsening, interpolation, strength
+    from . import coarsening, strength
 
     spec = _problem_from(cfg)
     a = problems.build(spec)
@@ -202,31 +193,17 @@ def _analyze_rows(cfg):
         raise UsageError(f"analysis cap exceeded: n={a.n_rows} > {analysis.DENSE_CAP}")
     kernel = _detect_kernel(a)
     smoother = smoothers.make_smoother(a, cfg["smoother"], cfg["omega"])
-    scfg = setup_config_from(cfg).strength_config()
-    s = strength.strength_matrix(a, scfg)
-    split = coarsening.mis(s)
-    part = coarsening.greedy_aggregate(s)
-    rows = []
+    setup_cfg = setup_config_from(cfg)
+    s = strength.strength_matrix(a, setup_cfg.strength_config())
+    splitting = {"cf": coarsening.mis(s), "agg": coarsening.greedy_aggregate(s)}
     wanted = cfg["interpolation"]
-    builders = _BUILDERS if wanted == "direct" else (wanted,)
-    for name in builders:
-        if name == "ideal":
-            p = interpolation.ideal_interpolation(a, split)
-        elif name == "direct":
-            p = interpolation.direct_interpolation(a, split, s)
-        elif name == "standard":
-            p = interpolation.standard_interpolation(a, split, s)
-        elif name == "multipass":
-            p = interpolation.multipass_interpolation(a, split, s)
-        elif name == "ua":
-            p = interpolation.ua_prolongation(part)
-        elif name == "sa":
-            p = interpolation.sa_prolongation(interpolation.ua_prolongation(part), a)
-        elif name == "energymin":
-            supports = interpolation.supports_from_aggregates(part, s)
-            p = interpolation.energy_min_prolongation(a, supports)
-        else:
+    names = _BUILDERS if wanted == "direct" else (wanted,)
+    rows = []
+    for name in names:
+        if name not in hierarchy.BUILDERS:
             raise UsageError(f"unknown builder {name!r}")
+        kind, build = hierarchy.BUILDERS[name]
+        p = build(a, splitting[kind], s, setup_cfg)
         rows.append(analysis.two_level_report(a, smoother, p, kernel=kernel,
                                               include_mu=True))
     return rows
@@ -328,6 +305,10 @@ def main(argv=None):
         return EXIT_USAGE
     except hierarchy.IndefinitePreconditionerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except hierarchy.SetupError as exc:
+        print(f"error: setup failed: {exc}; try a different "
+              "--set coarsening=... or --set theta=...", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ solves use the package-wide symmetric pseudo-inverse convention.
 """
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -22,27 +22,6 @@ class SetupError(RuntimeError):
 
 class IndefinitePreconditionerError(RuntimeError):
     pass
-
-
-_CONFIG_DEFAULTS = {
-    "smoother": "gs",
-    "omega": None,
-    "direction": "x",
-    "strength": "classical_sym",
-    "theta": 0.25,
-    "affinity_k": 8,
-    "affinity_nu": 4,
-    "seed": 0,
-    "coarsening": "mis",
-    "ml": "1,2",
-    "cr": False,
-    "interpolation": "direct",
-    "sa_nu": 1,
-    "sa_omega": None,
-    "emin_tol": 1e-10,
-    "n0": 50,
-    "max_levels": 25,
-}
 
 
 @dataclass(frozen=True)
@@ -80,6 +59,9 @@ class SetupConfig:
                                        self.affinity_k, self.affinity_nu, self.seed)
 
 
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SetupConfig)}
+
+
 @dataclass
 class Level:
     a: sparse.SparseMatrix
@@ -108,6 +90,18 @@ class Hierarchy:
     def level_sizes(self):
         return [lvl.a.n_rows for lvl in self.levels]
 
+    @classmethod
+    def from_levels(cls, levels):
+        """Hierarchy over finished levels: factor the coarsest operator and
+        record grid and operator complexities."""
+        nnz0 = max(levels[0].a.nnz, 1)
+        return cls(
+            levels,
+            SymPseudoInverse(levels[-1].a.toarray()),
+            grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
+            operator_complexity=sum(l.a.nnz for l in levels) / nnz0,
+        )
+
 
 @dataclass
 class SolveReport:
@@ -130,48 +124,54 @@ class SolveReport:
         return self
 
 
+# Prolongation builders by config name: (splitting kind, builder).  A "cf"
+# builder takes a C/F splitting, an "agg" builder an aggregate partition;
+# every builder is called as builder(a, splitting, strength, config).
+BUILDERS = {
+    "ideal": ("cf", lambda a, split, s, cfg: interpolation.ideal_interpolation(a, split)),
+    "direct": ("cf", lambda a, split, s, cfg: interpolation.direct_interpolation(a, split, s)),
+    "standard": ("cf", lambda a, split, s, cfg:
+                 interpolation.standard_interpolation(a, split, s)),
+    "multipass": ("cf", lambda a, split, s, cfg:
+                  interpolation.multipass_interpolation(a, split, s)),
+    "ua": ("agg", lambda a, part, s, cfg: interpolation.ua_prolongation(part)),
+    "sa": ("agg", lambda a, part, s, cfg: interpolation.sa_prolongation(
+        interpolation.ua_prolongation(part), a, cfg.sa_nu, cfg.sa_omega)),
+    "energymin": ("agg", lambda a, part, s, cfg: interpolation.energy_min_prolongation(
+        a, interpolation.supports_from_aggregates(part, s), cg_tol=cfg.emin_tol)),
+}
+
+def _aggressive(a, s, cfg):
+    m, l = (int(t) for t in cfg.ml.split(","))
+    return coarsening.aggressive_coarsen(s, m, l)
+
+
+# Coarsenings by config name: (splitting kind, coarsen(a, strength, config)).
+_COARSENINGS = {
+    "mis": ("cf", lambda a, s, cfg: coarsening.mis(s)),
+    "aggressive": ("cf", _aggressive),
+    "aggregate": ("agg", lambda a, s, cfg: coarsening.greedy_aggregate(s)),
+    "pairwise": ("agg", lambda a, s, cfg: coarsening.pairwise_aggregate(a)),
+}
+
+
 def _coarsen_once(a, cfg):
     """One strength -> coarsen -> interpolate round; returns (P, S, splitting)."""
+    if cfg.coarsening not in _COARSENINGS:
+        raise SetupError(f"unknown coarsening {cfg.coarsening!r}")
+    if cfg.interpolation not in BUILDERS:
+        raise SetupError(f"unknown interpolation {cfg.interpolation!r}")
+    kind, coarsen = _COARSENINGS[cfg.coarsening]
+    needs, build = BUILDERS[cfg.interpolation]
+    if needs != kind:
+        wanted = "aggregation coarsening" if needs == "agg" else "a C/F coarsening"
+        raise SetupError(f"interpolation {cfg.interpolation!r} needs {wanted}")
     s = strength.strength_matrix(a, cfg.strength_config())
-    kind = cfg.coarsening
-    interp = cfg.interpolation
-    if kind in ("mis", "aggressive"):
-        if kind == "mis":
-            split = coarsening.mis(s)
-        else:
-            m, l = (int(t) for t in cfg.ml.split(","))
-            split = coarsening.aggressive_coarsen(s, m, l)
-        if cfg.cr:
-            factory = lambda sub: make_smoother(sub, cfg.smoother, cfg.omega)
-            split, _ = coarsening.cr_refine(a, factory, split, s, seed=cfg.seed)
-        if interp == "ideal":
-            p = interpolation.ideal_interpolation(a, split)
-        elif interp == "direct":
-            p = interpolation.direct_interpolation(a, split, s)
-        elif interp == "standard":
-            p = interpolation.standard_interpolation(a, split, s)
-        elif interp == "multipass":
-            p = interpolation.multipass_interpolation(a, split, s)
-        else:
-            raise SetupError(f"interpolation {interp!r} needs aggregation coarsening")
-        return p, s, split
-    if kind in ("aggregate", "pairwise"):
-        if kind == "aggregate":
-            part = coarsening.greedy_aggregate(s)
-        else:
-            part = coarsening.pairwise_aggregate(a)
-        if interp == "ua":
-            p = interpolation.ua_prolongation(part)
-        elif interp == "sa":
-            p_tent = interpolation.ua_prolongation(part)
-            p = interpolation.sa_prolongation(p_tent, a, cfg.sa_nu, cfg.sa_omega)
-        elif interp == "energymin":
-            supports = interpolation.supports_from_aggregates(part, s)
-            p = interpolation.energy_min_prolongation(a, supports, cg_tol=cfg.emin_tol)
-        else:
-            raise SetupError(f"interpolation {interp!r} needs a C/F coarsening")
-        return p, s, part
-    raise SetupError(f"unknown coarsening {kind!r}")
+    split = coarsen(a, s, cfg)
+    if cfg.cr and kind == "cf":
+        factory = lambda sub: make_smoother(sub, cfg.smoother, cfg.omega)
+        split, _ = coarsening.cr_refine(a, factory, split, s, seed=cfg.seed)
+    return build(a, split, s, cfg), s, split
 
 
 def setup(a, config=None):
@@ -198,14 +198,7 @@ def setup(a, config=None):
         levels.append(Level(current, p, pre, post, s, coarse_obj))
         current = sparse.galerkin_product(p.matrix, current)
     levels.append(Level(current))
-    nnz0 = max(levels[0].a.nnz, 1)
-    hierarchy = Hierarchy(
-        levels,
-        SymPseudoInverse(current.toarray()),
-        grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
-        operator_complexity=sum(l.a.nnz for l in levels) / nnz0,
-    )
-    return hierarchy
+    return Hierarchy.from_levels(levels)
 
 
 def two_level_apply(h, g):
@@ -244,13 +237,17 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
 
     ``preconditioner`` is a callable g -> Bg (or a Hierarchy, wrapped as a
     V(1,1) cycle).  For singular systems pass the kernel vectors: right-hand
-    side and iterates are kept orthogonal to them.
+    side and iterates are kept orthogonal to them.  A non-finite ``b`` or
+    ``x0`` raises ValueError before any iteration.
     """
     if isinstance(preconditioner, Hierarchy):
         preconditioner = vcycle_preconditioner(preconditioner)
     elif preconditioner is None:
         preconditioner = lambda g: g
     b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    if not (np.isfinite(b).all() and np.isfinite(x).all()):
+        raise ValueError("right-hand side or initial guess has non-finite entries")
     proj = None
     if kernel is not None:
         z = np.atleast_2d(np.asarray(kernel, dtype=float).T).T
@@ -259,7 +256,6 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
         b = proj(b)
     start = time.perf_counter()
     report = SolveReport()
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if proj is not None:
         x = proj(x)
     r = b - a @ x

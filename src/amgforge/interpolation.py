@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import sparse
 from .sparse import SparseMatrix, from_scipy, bfs_distance
@@ -91,8 +92,8 @@ def ideal_interpolation(a, split, dense_cap=4000):
     return _assemble_cf(rr, cc, w[rr, cc], split, "ideal")
 
 
-def _strong_coarse_map(split, s):
-    """Per-vertex mapping to coarse column indices of its strong C neighbors."""
+def _strong_coarse_map(split):
+    """Per-vertex coarse column index; -1 on F points."""
     coarse_col = np.full(split.n, -1, dtype=np.int64)
     coarse_col[split.coarse_indices] = np.arange(split.n_coarse)
     return coarse_col
@@ -100,7 +101,7 @@ def _strong_coarse_map(split, s):
 
 def direct_interpolation(a, split, s):
     """Strong C-neighbor averaging with unit row sums on F rows."""
-    coarse_col = _strong_coarse_map(split, s)
+    coarse_col = _strong_coarse_map(split)
     rows, cols, vals = [], [], []
     for pos, i in enumerate(split.fine_indices):
         strong_c = [j for j in s.neighbors(i) if coarse_col[j] >= 0]
@@ -121,7 +122,7 @@ def direct_interpolation(a, split, s):
 
 def _distance2_pattern(split, s):
     """Allowed coarse columns per F row: strong C neighbors within distance 2."""
-    coarse_col = _strong_coarse_map(split, s)
+    coarse_col = _strong_coarse_map(split)
     pattern = []
     for i in split.fine_indices:
         allowed = set()
@@ -177,7 +178,7 @@ def multipass_interpolation(a, split, s):
     substitutes the already-built rows of its nearer strong neighbors and
     rescales, so every F row keeps unit row sum.
     """
-    coarse_col = _strong_coarse_map(split, s)
+    coarse_col = _strong_coarse_map(split)
     dist = bfs_distance(s.graph, split.coarse_indices)
     if (dist < 0).any():
         bad = int(np.flatnonzero(dist < 0)[0])
@@ -325,7 +326,12 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
             out[idx] += scipy.linalg.cho_solve(fac, v[idx])
         return out
 
-    lam = _cg(b_action, constraint, tol=cg_tol, max_it=10 * n)
+    from .hierarchy import pcg_solve
+
+    op = spla.LinearOperator((n, n), matvec=b_action, dtype=float)
+    lam, report = pcg_solve(op, constraint, tol=cg_tol, max_it=10 * n)
+    if not report.converged:
+        raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
     cols = []
     for idx, fac in factors:
         phi = np.zeros(n)
@@ -337,27 +343,6 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
         raise CGConvergenceError(f"partition-of-unity defect {defect:.2e}")
     return Prolongation(from_scipy(sp.csr_matrix(basis)), "energymin",
                         preserved=constraint[:, None], supports=supports)
-
-
-def _cg(action, b, tol, max_it):
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    b_norm = np.sqrt(float(b @ b))
-    if b_norm == 0.0:
-        return x
-    for _ in range(max_it):
-        ap = action(p)
-        alpha = rr / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= tol * b_norm:
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
 
 
 def coarse_elements(supports, n):

@@ -71,10 +71,6 @@ class Smoother:
         """(I - B A) v."""
         return v - self.action(self.a @ v)
 
-    def dense_iterator(self):
-        """Materialize B column by column (desk-scale oracle)."""
-        return np.column_stack([self.action(e) for e in np.eye(self.n)])
-
 
 class Jacobi(Smoother):
     """B = omega * D^{-1}.  Default omega is 1/rho(D^{-1}A) from 20 power steps."""
@@ -120,77 +116,15 @@ class GaussSeidel(Smoother):
         return GaussSeidel(self.a, self.omega, flip)
 
 
-class SymmetricGaussSeidel(Smoother):
-    """One forward sweep followed by one backward sweep."""
-
-    def __init__(self, a, omega=1.0):
-        super().__init__(a)
-        self.forward = GaussSeidel(a, omega, "forward")
-        self.backward = GaussSeidel(a, omega, "backward")
-        self.omega = float(omega)
-
-    def action(self, g):
-        y = self.forward.action(g)
-        return y + self.backward.action(g - self.a @ y)
-
-    def adjoint(self):
-        return self
-
-
-class BlockGaussSeidel(Smoother):
-    """Successive exact solves on a disjoint block partition of the unknowns."""
-
-    def __init__(self, a, blocks, direction="forward"):
-        super().__init__(a)
-        blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-        seen = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-        if len(np.unique(seen)) != self.n or seen.size != self.n:
-            raise ValueError("blocks must partition the index set disjointly")
-        self.blocks = blocks
-        self.direction = direction
-        dense = a.mat
-        self._factors = []
-        for k, idx in enumerate(blocks):
-            sub = dense[idx][:, idx].toarray()
-            try:
-                self._factors.append(scipy.linalg.cho_factor(sub))
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSmootherError(f"diagonal block {k} is not SPD") from exc
-
-    def _sweep(self, b, x, order):
-        r = b - self.a @ x
-        for k in order:
-            idx = self.blocks[k]
-            dx = scipy.linalg.cho_solve(self._factors[k], r[idx])
-            x = x.copy()
-            x[idx] += dx
-            r = b - self.a @ x
-        return x
-
-    def action(self, g):
-        order = range(len(self.blocks))
-        if self.direction == "backward":
-            order = reversed(list(order))
-        return self._sweep(g, np.zeros(self.n), order)
-
-    def adjoint(self):
-        flip = "backward" if self.direction == "forward" else "forward"
-        return BlockGaussSeidel(self.a, self.blocks, flip)
-
-
 class SubspaceCorrection(Smoother):
-    """Exact local solves on index-set subspaces, additive or successive.
+    """Parallel subspace correction: B = sum_i I_i A_i^{-1} I_i'.
 
-    Additive (parallel) version is B = sum_i I_i A_i^{-1} I_i'; the
-    successive version sweeps the subspaces in the given order.  Singleton
-    subspaces reproduce Jacobi (additive) and forward Gauss-Seidel
-    (successive) with unit weight.
+    Exact local solves on index-set subspaces that cover the unknowns and
+    may overlap; singleton subspaces reproduce unit-weight Jacobi.
     """
 
-    def __init__(self, a, subspaces, mode="additive", reverse=False):
+    def __init__(self, a, subspaces):
         super().__init__(a)
-        if mode not in ("additive", "successive"):
-            raise ValueError("mode must be 'additive' or 'successive'")
         subspaces = [np.asarray(s, dtype=np.int64) for s in subspaces]
         covered = np.zeros(self.n, dtype=bool)
         for s in subspaces:
@@ -198,8 +132,6 @@ class SubspaceCorrection(Smoother):
         if not covered.all():
             raise ValueError("subspaces must cover every index")
         self.subspaces = subspaces
-        self.mode = mode
-        self.reverse = reverse
         self._factors = []
         for k, idx in enumerate(subspaces):
             sub = a.mat[idx][:, idx].toarray()
@@ -209,16 +141,34 @@ class SubspaceCorrection(Smoother):
                 raise SingularSmootherError(f"local block for subspace {k} is singular") from exc
 
     def action(self, g):
-        if self.mode == "additive":
-            out = np.zeros(self.n)
-            for idx, fac in zip(self.subspaces, self._factors):
-                out[idx] += scipy.linalg.cho_solve(fac, g[idx])
-            return out
+        out = np.zeros(self.n)
+        for idx, fac in zip(self.subspaces, self._factors):
+            out[idx] += scipy.linalg.cho_solve(fac, g[idx])
+        return out
+
+    def adjoint(self):
+        return self
+
+
+class BlockGaussSeidel(SubspaceCorrection):
+    """Successive subspace correction: the same local solves, one after another.
+
+    On a disjoint block partition this is block Gauss-Seidel (line GS for
+    grid lines); singleton subspaces reproduce unit-weight forward
+    Gauss-Seidel.  The backward direction visits the subspaces in reverse
+    order and is the adjoint of the forward one.
+    """
+
+    def __init__(self, a, blocks, direction="forward"):
+        super().__init__(a, blocks)
+        self.direction = direction
+
+    def action(self, g):
+        order = range(len(self.subspaces))
+        if self.direction == "backward":
+            order = reversed(order)
         x = np.zeros(self.n)
         r = g.copy()
-        order = range(len(self.subspaces))
-        if self.reverse:
-            order = reversed(list(order))
         for k in order:
             idx = self.subspaces[k]
             x[idx] += scipy.linalg.cho_solve(self._factors[k], r[idx])
@@ -226,17 +176,8 @@ class SubspaceCorrection(Smoother):
         return x
 
     def adjoint(self):
-        if self.mode == "additive":
-            return self
-        return SubspaceCorrection(self.a, self.subspaces, "successive", not self.reverse)
-
-
-def build_psc(subspaces, a):
-    return SubspaceCorrection(a, subspaces, mode="additive")
-
-
-def build_ssc(subspaces, a):
-    return SubspaceCorrection(a, subspaces, mode="successive")
+        flip = "backward" if self.direction == "forward" else "forward"
+        return BlockGaussSeidel(self.a, self.subspaces, flip)
 
 
 class SymmetrizedSmoother(Smoother):
@@ -253,9 +194,6 @@ class SymmetrizedSmoother(Smoother):
 
     def adjoint(self):
         return self
-
-    def dense_matrix(self):
-        return self.dense_iterator()
 
 
 def symmetrize(smoother):
@@ -280,15 +218,23 @@ class ConvergenceBound:
 
 
 def convergence_bound(smoother, a=None):
-    """Largest admissible damping: 2/rho(D^{-1}A) for Jacobi, 2 for Gauss-Seidel."""
+    """Largest admissible damping: 2/rho(D^{-1}A) for Jacobi, 2 for Gauss-Seidel.
+
+    A symmetrized smoother converges exactly when its inner smoother does,
+    since |I - Rbar A|_A = |I - R A|_A^2.
+    """
     a = a if a is not None else smoother.a
+    if isinstance(smoother, SymmetrizedSmoother):
+        return convergence_bound(smoother.inner, a)
     if isinstance(smoother, Jacobi):
         limit = 2.0 / estimate_rho_dinv_a(a)
         return ConvergenceBound(smoother.omega < limit, limit)
-    if isinstance(smoother, (GaussSeidel, SymmetricGaussSeidel)):
+    if isinstance(smoother, GaussSeidel):
         return ConvergenceBound(0.0 < smoother.omega < 2.0, 2.0)
     # generic smoothers: convergent iff the symmetrized iterator is SPD
-    rbar = SymmetrizedSmoother(smoother).dense_matrix()
+    from .analysis import materialize
+
+    rbar = materialize(SymmetrizedSmoother(smoother).action, smoother.n)
     lam_min = scipy.linalg.eigh(0.5 * (rbar + rbar.T), eigvals_only=True)[0]
     return ConvergenceBound(bool(lam_min > 0.0), float("nan"))
 
@@ -310,7 +256,7 @@ def make_smoother(a, kind="gs", omega=None, direction="x", grid_n=None):
     if kind == "gs":
         return GaussSeidel(a, 1.0 if omega is None else omega)
     if kind == "sgs":
-        return SymmetricGaussSeidel(a, 1.0 if omega is None else omega)
+        return symmetrize(GaussSeidel(a, 1.0 if omega is None else omega))
     if kind == "line-gs":
         n = grid_n if grid_n is not None else int(round(np.sqrt(a.n_rows)))
         if n * n != a.n_rows:

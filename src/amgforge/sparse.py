@@ -92,16 +92,6 @@ def from_scipy(mat, symmetry=GENERAL):
     return SparseMatrix(out, symmetry)
 
 
-def compact(a):
-    """Re-canonicalize: drop stored zeros, sort rows, merge duplicates.
-
-    Constructors already do this, so a round trip through ``compact`` is a
-    no-op on any matrix built by this module; it exists for matrices whose
-    scipy payload was produced elsewhere.
-    """
-    return from_scipy(a.mat, a.symmetry)
-
-
 def from_dense(a, symmetry=GENERAL):
     return from_scipy(sp.csr_matrix(np.asarray(a, dtype=float)), symmetry)
 

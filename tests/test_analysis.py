@@ -75,7 +75,7 @@ class TestKofVc:
         p = interpolation.ideal_interpolation(a, split)
         k = k_of_vc(a, rbar, p)
         # independent oracle: max over eigenvectors of the explicit pencil
-        rbar_m = rbar.dense_matrix()
+        rbar_m = analysis.materialize(rbar.action, 15)
         rinv = np.linalg.inv(rbar_m)
         pm = p.toarray()
         q_c = pm @ np.linalg.solve(pm.T @ rinv @ pm, pm.T @ rinv)

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from amgforge import cli, io_mm, problems
-from amgforge.cli import EXIT_OK, EXIT_USAGE, load_config, main
+from amgforge import cli, io_mm, problems, sparse
+from amgforge.cli import EXIT_NONCONVERGENCE, EXIT_OK, EXIT_USAGE, load_config, main
 
 
 class TestConfig:
@@ -28,12 +29,6 @@ class TestConfig:
     def test_type_coercion_errors(self):
         with pytest.raises(cli.UsageError):
             load_config(None, ["n=many"])
-
-    def test_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("AMGFORGE_THREADS", "4")
-        assert cli.worker_cap() == 4
-        monkeypatch.setenv("AMGFORGE_THREADS", "junk")
-        assert cli.worker_cap() == 1
 
 
 class TestGenerate:
@@ -94,6 +89,16 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "line 1" in capsys.readouterr().err
 
+    def test_stagnating_setup_is_not_internal_error(self, tmp_path, capsys):
+        out = tmp_path / "diag.mtx"
+        diag = sps.diags(np.arange(1.0, 61.0)).tocsr()
+        io_mm.write_matrix_market(out, sparse.from_scipy(diag, sparse.SYMMETRIC))
+        code = main(["solve", "--matrix", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "internal error" not in err
+        assert "level 0" in err and "coarsening" in err and "theta" in err
+
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         main(["generate", "--kind", "fd5", "--n", "8", "--out", str(out)])
@@ -116,6 +121,23 @@ class TestAnalyze:
         for row in rows:
             gap = float(row.split(",")[-1])
             assert gap <= 1e-7
+
+    @staticmethod
+    def e_norm_sq(capsys, builder, *sets):
+        args = ["analyze", "--csv", "--set", f"interpolation={builder}"]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        return [ln for ln in out if ln.startswith(f"{builder},")][0].split(",")[3]
+
+    def test_sa_nu_reaches_builder(self, capsys):
+        assert (self.e_norm_sq(capsys, "sa", "sa_nu=2")
+                != self.e_norm_sq(capsys, "sa", "sa_nu=1"))
+
+    def test_emin_tol_reaches_builder(self, capsys):
+        assert (self.e_norm_sq(capsys, "energymin", "emin_tol=1e-8")
+                != self.e_norm_sq(capsys, "energymin"))
 
     def test_cap_refused(self, capsys):
         code = main(["analyze", "--set", "kind=fd5", "--set", "n=60"])

@@ -69,7 +69,7 @@ class TestTwoLevelApply:
 
         split = co.mis(s)
         p = ip.direct_interpolation(a, split, s)
-        exact = smoothers.build_psc([list(range(8))], a)
+        exact = smoothers.SubspaceCorrection(a, [list(range(8))])
         levels = [Level(a, p, exact, exact),
                   Level(sparse.galerkin_product(p.matrix, a))]
         h = Hierarchy(levels, SymPseudoInverse(levels[1].a.toarray()))
@@ -86,7 +86,7 @@ class TestTwoLevelApply:
         p = lvl.p.matrix.toarray()
         a_c = h.levels[1].a.toarray()
         pi_c = p @ np.linalg.solve(a_c, p.T @ a.toarray())
-        r = lvl.post_smoother.dense_iterator()
+        r = analysis.materialize(lvl.post_smoother.action, n)
         expect = (np.eye(n) - r @ a.toarray()) @ (np.eye(n) - pi_c)
         assert np.abs(e_mat - expect).max() <= 1e-12
 
@@ -180,6 +180,15 @@ class TestPcg:
         with pytest.raises(IndefinitePreconditionerError):
             pcg_solve(a, np.ones(6))
 
+    def test_non_finite_input_rejected(self):
+        a = problems.laplace_1d(6)
+        b = np.ones(6)
+        b[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pcg_solve(a, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            pcg_solve(a, np.ones(6), x0=np.full(6, np.inf))
+
     def test_report_fields(self):
         a = problems.laplace_1d(12)
         _, report = pcg_solve(a, np.ones(12), tol=1e-10)
@@ -227,3 +236,5 @@ def test_setup_mismatched_builder_rejected():
         setup(a, {"coarsening": "mis", "interpolation": "ua", "n0": 20})
     with pytest.raises(SetupError, match="C/F"):
         setup(a, {"coarsening": "aggregate", "interpolation": "direct", "n0": 20})
+    with pytest.raises(SetupError, match="unknown interpolation"):
+        setup(a, {"interpolation": "bogus", "n0": 20})

@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from amgforge import problems, smoothers, sparse
+from amgforge.analysis import materialize
 from amgforge.smoothers import (BlockGaussSeidel, GaussSeidel, Jacobi,
-                                SingularSmootherError, SymmetricGaussSeidel,
-                                block_partition_lines, build_psc, build_ssc,
+                                SingularSmootherError, SubspaceCorrection,
+                                SymmetrizedSmoother, block_partition_lines,
                                 convergence_bound, make_smoother, symmetrize)
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
@@ -20,7 +21,7 @@ class TestApply:
         a = problems.laplace_1d(6)
         x_exact = np.arange(6.0)
         b = a.mat @ x_exact
-        for s in (Jacobi(a, 0.8), GaussSeidel(a), SymmetricGaussSeidel(a)):
+        for s in (Jacobi(a, 0.8), GaussSeidel(a), symmetrize(GaussSeidel(a))):
             assert np.allclose(s.apply(b, x_exact, 3), x_exact, atol=1e-13)
 
     def test_forward_gs_hand_sweep(self):
@@ -40,7 +41,7 @@ class TestApply:
 
 class TestSymmetrize:
     def test_gs_closed_form(self):
-        rbar = symmetrize(GaussSeidel(A2)).dense_matrix()
+        rbar = materialize(symmetrize(GaussSeidel(A2)).action, 2)
         assert np.allclose(rbar, [[5 / 8, 1 / 4], [1 / 4, 1 / 2]], atol=1e-15)
 
     def test_gs_triangular_identity(self):
@@ -50,14 +51,14 @@ class TestSymmetrize:
         l = np.tril(dense, -1)
         u = np.triu(dense, 1)
         expect = np.linalg.solve(d + u, d @ np.linalg.solve(d + l, np.eye(9)))
-        got = symmetrize(GaussSeidel(a)).dense_matrix()
+        got = materialize(symmetrize(GaussSeidel(a)).action, 9)
         assert np.abs(got - expect).max() <= 1e-13
 
     def test_jacobi_closed_form(self):
         omega = 0.7
         dinv = np.diag(1.0 / A2.diagonal())
         expect = 2 * omega * dinv - omega**2 * dinv @ A2.toarray() @ dinv
-        got = symmetrize(Jacobi(A2, omega)).dense_matrix()
+        got = materialize(symmetrize(Jacobi(A2, omega)).action, 2)
         assert np.abs(got - expect).max() <= 1e-15
 
     def test_symmetry_on_probes(self):
@@ -72,7 +73,7 @@ class TestSymmetrize:
 
     def test_spd_for_convergent_smoother(self):
         a = problems.fd_poisson_5pt(4)
-        rbar = symmetrize(GaussSeidel(a)).dense_matrix()
+        rbar = materialize(symmetrize(GaussSeidel(a)).action, 16)
         lam = scipy.linalg.eigh(0.5 * (rbar + rbar.T), eigvals_only=True)
         assert lam[0] > 0.0
 
@@ -81,8 +82,8 @@ class TestSymmetrize:
         a = problems.fd_poisson_5pt(3)
         dense = a.toarray()
         gs = GaussSeidel(a)
-        e = np.eye(9) - gs.dense_iterator() @ dense
-        e_bar = np.eye(9) - symmetrize(gs).dense_matrix() @ dense
+        e = np.eye(9) - materialize(gs.action, 9) @ dense
+        e_bar = np.eye(9) - materialize(symmetrize(gs).action, 9) @ dense
         e_star = np.linalg.solve(dense, e.T @ dense)
         assert np.abs(e_bar - e_star @ e).max() <= 1e-12
 
@@ -97,6 +98,10 @@ class TestConvergenceBound:
         assert convergence_bound(GaussSeidel(A2, 1.0)).omega_limit == 2.0
         assert not convergence_bound(GaussSeidel(A2, 2.5)).converges
 
+    def test_symmetrized_follows_inner(self):
+        assert convergence_bound(symmetrize(GaussSeidel(A2, 1.0))).converges
+        assert not convergence_bound(symmetrize(GaussSeidel(A2, 2.5))).converges
+
     def test_unit_jacobi_converges_on_five_point(self):
         a = problems.fd_poisson_5pt(5)
         assert convergence_bound(Jacobi(a, 1.0)).converges
@@ -105,29 +110,35 @@ class TestConvergenceBound:
 class TestSubspaceCorrection:
     def test_psc_singletons_is_jacobi(self):
         a = problems.fd_poisson_5pt(2)
-        psc = build_psc([[i] for i in range(4)], a)
-        assert np.abs(psc.dense_iterator() - np.diag(1.0 / a.diagonal())).max() <= 1e-14
+        psc = SubspaceCorrection(a, [[i] for i in range(4)])
+        assert np.abs(materialize(psc.action, 4) - np.diag(1.0 / a.diagonal())).max() <= 1e-14
 
     def test_ssc_singletons_is_forward_gs(self):
         a = problems.fd_poisson_5pt(2)
-        ssc = build_ssc([[i] for i in range(4)], a)
+        ssc = BlockGaussSeidel(a, [[i] for i in range(4)])
         gs = GaussSeidel(a)
-        assert np.abs(ssc.dense_iterator() - gs.dense_iterator()).max() <= 1e-14
+        assert np.abs(materialize(ssc.action, 4) - materialize(gs.action, 4)).max() <= 1e-14
 
     def test_single_full_subspace_is_exact(self):
         a = problems.laplace_1d(5)
-        solver = build_psc([list(range(5))], a)
-        e = np.eye(5) - solver.dense_iterator() @ a.toarray()
+        solver = SubspaceCorrection(a, [list(range(5))])
+        e = np.eye(5) - materialize(solver.action, 5) @ a.toarray()
         assert np.abs(e).max() <= 1e-12
+
+    def test_successive_adjoint_is_transpose_with_overlap(self):
+        a = problems.laplace_1d(6)
+        ssc = BlockGaussSeidel(a, [[0, 1, 2], [2, 3, 4], [4, 5]])
+        fwd = materialize(ssc.action, 6)
+        assert np.abs(materialize(ssc.adjoint().action, 6) - fwd.T).max() <= 1e-14
 
     def test_cover_required(self):
         with pytest.raises(ValueError):
-            build_psc([[0]], A2)
+            SubspaceCorrection(A2, [[0]])
 
     def test_singular_block_named(self):
         bad = sparse.from_dense([[1.0, 0, 0], [0, 1, 1], [0, 1, 1]], sparse.SYMMETRIC)
         with pytest.raises(SingularSmootherError, match="subspace 1"):
-            build_psc([[0], [1, 2]], bad)
+            SubspaceCorrection(bad, [[0], [1, 2]])
 
 
 class TestLineSmoothing:
@@ -183,7 +194,8 @@ def test_make_smoother_kinds():
     a = problems.fd_poisson_5pt(3)
     assert isinstance(make_smoother(a, "jacobi"), Jacobi)
     assert isinstance(make_smoother(a, "gs"), GaussSeidel)
-    assert isinstance(make_smoother(a, "sgs"), SymmetricGaussSeidel)
+    sgs = make_smoother(a, "sgs")
+    assert isinstance(sgs, SymmetrizedSmoother) and isinstance(sgs.inner, GaussSeidel)
     assert isinstance(make_smoother(a, "line-gs", direction="y"), BlockGaussSeidel)
     with pytest.raises(ValueError):
         make_smoother(a, "cheby")

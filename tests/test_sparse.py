@@ -231,17 +231,17 @@ def test_restrict_to_indices():
     assert np.array_equal(sub.toarray(), problems.laplace_1d(3).toarray() + 2 * np.eye(3))
 
 
-def test_compact_idempotent_and_cleans_foreign_matrices():
+def test_from_scipy_idempotent_and_cleans_foreign_matrices():
     import scipy.sparse as sp
 
     raw = sp.csr_matrix((np.array([1.0, 0.0, 2.0, 3.0]),
                          np.array([1, 0, 0, 1]),
                          np.array([0, 2, 4])), shape=(2, 2))
     dirty = sparse.SparseMatrix(raw, sparse.GENERAL)  # bypasses constructors
-    clean = sparse.compact(dirty)
+    clean = sparse.from_scipy(dirty.mat, dirty.symmetry)
     assert clean.nnz == 3
     assert np.array_equal(clean.toarray(), [[0, 1], [2, 3]])
-    again = sparse.compact(clean)
+    again = sparse.from_scipy(clean.mat, clean.symmetry)
     assert np.array_equal(again.col_idx, clean.col_idx)
 
 
