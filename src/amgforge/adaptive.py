@@ -140,7 +140,6 @@ def _restrict_asa(part, psi):
 def _aggregate_candidates(part, s, depth=2):
     """Per vertex, nearby aggregate ids ordered by graph distance."""
     n = part.n
-    adj = s.to_scipy()
     order = []
     for v in range(n):
         seen = {int(part.labels[v])}
@@ -149,7 +148,7 @@ def _aggregate_candidates(part, s, depth=2):
         for _ in range(depth):
             nxt = []
             for u in frontier:
-                for w in adj[u].indices:
+                for w in s.neighbors(u):
                     lab = int(part.labels[w])
                     if lab not in seen:
                         seen.add(lab)

@@ -300,15 +300,16 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except (hierarchy.SetupError, interpolation.InterpolationError) as exc:
+        # InterpolationError is a ValueError, so it must be caught first
+        print(f"error: setup failed: {exc}; try a different "
+              "--set coarsening=... or --set theta=...", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except (UsageError, io_mm.MatrixMarketError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except hierarchy.IndefinitePreconditionerError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except hierarchy.SetupError as exc:
-        print(f"error: setup failed: {exc}; try a different "
-              "--set coarsening=... or --set theta=...", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except interpolation.CGConvergenceError as exc:
         print(f"error: energy-minimization solve failed: {exc}; try a "

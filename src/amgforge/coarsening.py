@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse
-from .strength import StrengthMatrix, strength_power, union
+from .strength import StrengthMatrix, _pairwise_values, strength_power, union
 
 
 @dataclass(frozen=True)
@@ -137,33 +137,21 @@ def greedy_aggregate(s, order=None):
     return AggregatePartition(labels, n_agg, isolated)
 
 
-def _pair_score(diag, aij, i, j):
-    s1 = abs(aij) / np.sqrt(diag[i] * diag[j])
-    s2 = -2.0 * aij / (diag[i] + diag[j])
-    return (1.0 - s1 * s1) / (1.0 - s2)
-
-
 def _single_pass_matching(a):
-    g = sparse.adjacency_graph(a)
-    diag = a.diagonal()
-    n = a.n_rows
-    labels = np.full(n, -1, dtype=np.int64)
+    rows, cols, score = _pairwise_values(a, "pair_local_opt")
+    start = np.searchsorted(rows, np.arange(a.n_rows + 1))
+    labels = np.full(a.n_rows, -1, dtype=np.int64)
     n_agg = 0
-    mat = a.mat
-    for i in range(n):
+    for i in range(a.n_rows):
         if labels[i] >= 0:
             continue
-        # neighbors ascend, so the first maximum wins ties (lowest index)
-        best_j, best_score = -1, -np.inf
-        for j in g.neighbors(i):
-            if labels[j] >= 0:
-                continue
-            score = _pair_score(diag, mat[i, j], i, j)
-            if score > best_score:
-                best_j, best_score = int(j), score
         labels[i] = n_agg
-        if best_j >= 0:
-            labels[best_j] = n_agg
+        nbrs, scores = cols[start[i]:start[i + 1]], score[start[i]:start[i + 1]]
+        free = labels[nbrs] < 0
+        if free.any():
+            # neighbors ascend and argmax takes the first maximum, so ties
+            # go to the lowest index
+            labels[nbrs[free][np.argmax(scores[free])]] = n_agg
         n_agg += 1
     return AggregatePartition(labels, n_agg)
 

@@ -13,7 +13,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import sparse
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import estimate_rho_dinv_a
 
@@ -51,18 +50,19 @@ def verify_full_rank(p, tol=1e-10):
     return bool(s.size and s[-1] > tol)
 
 
-def _assemble_cf(w_rows, w_cols, w_vals, split, builder):
-    """P with identity C rows and W on F rows, all in natural row order.
+def _assemble_cf(w, split, builder):
+    """P with identity C rows and the n_F x n_C block ``w`` on F rows.
 
-    ``w_rows`` hold positions into the fine-index list; columns index the
-    coarse points in ascending natural order.
+    Rows of ``w`` follow the fine-index list; columns index the coarse
+    points in ascending natural order.
     """
     fine = split.fine_indices
     coarse = split.coarse_indices
     n, n_c = split.n, coarse.size
-    rows = np.concatenate([coarse, fine[w_rows]])
-    cols = np.concatenate([np.arange(n_c), w_cols])
-    vals = np.concatenate([np.ones(n_c), w_vals])
+    w = sp.coo_matrix(w)
+    rows = np.concatenate([coarse, fine[w.row]])
+    cols = np.concatenate([np.arange(n_c), w.col])
+    vals = np.concatenate([np.ones(n_c), w.data])
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n_c))
     return Prolongation(from_scipy(mat), builder)
 
@@ -73,64 +73,70 @@ def ideal_interpolation(a, split, dense_cap=4000):
     A desk-scale oracle: the F-block is solved densely and inputs with more
     than ``dense_cap`` fine points are rejected.
     """
-    fine, coarse = split.fine_indices, split.coarse_indices
-    if fine.size > dense_cap:
+    if split.fine_indices.size > dense_cap:
         raise ValueError(f"ideal interpolation capped at {dense_cap} fine points")
-    a_ff = a.mat[fine][:, fine].toarray()
-    a_fc = a.mat[fine][:, coarse].toarray()
+    a_ff, a_fc = (block.toarray() for block in _fine_blocks(a.mat, split))
     try:
         w = -scipy.linalg.solve(a_ff, a_fc, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise InterpolationError("A_FF is singular") from exc
     if not np.all(np.isfinite(w)):
         raise InterpolationError("A_FF is singular")
-    rr, cc = np.nonzero(w)
-    return _assemble_cf(rr, cc, w[rr, cc], split, "ideal")
+    return _assemble_cf(sp.csr_matrix(w), split, "ideal")
 
 
-def _strong_coarse_map(split):
-    """Per-vertex coarse column index; -1 on F points."""
-    coarse_col = np.full(split.n, -1, dtype=np.int64)
-    coarse_col[split.coarse_indices] = np.arange(split.n_coarse)
-    return coarse_col
+def _fine_blocks(m, split):
+    """The F-row blocks (M_FF, M_FC) of a square CSR matrix."""
+    m_f = m[split.fine_indices]
+    return m_f[:, split.fine_indices], m_f[:, split.coarse_indices]
+
+
+def _strong_reach(split, s, hops):
+    """F x C pattern of the coarse points within ``hops`` (1 or 2) strong steps."""
+    s_ff, s_fc = _fine_blocks(s.to_scipy(), split)
+    return s_fc if hops == 1 else (s_fc + s_ff @ s_fc) != 0
+
+
+def _jacobi_step(a_ff, a_fc, w0):
+    """One Jacobi sweep on A_FF W = -A_FC from W0."""
+    dinv = sp.diags(1.0 / a_ff.diagonal())
+    return w0 + dinv @ (-a_fc - a_ff @ w0)
+
+
+def _scale_rows(w, fine, allowed=None, v=None, drop=0.0):
+    """Truncate the F rows of W to ``allowed`` and rescale them so W v_C = v_F.
+
+    ``w`` and ``allowed`` are n_F x n_C; ``fine`` names each row's vertex in
+    errors.  ``v`` is the prototype pair (v_F, v_C); without it every row
+    gets unit sum.  Entries below ``drop`` times their row's largest
+    magnitude are removed before scaling.  The first row left empty, or
+    with W v_C = 0, raises InterpolationError.
+    """
+    w = sp.csr_matrix(w if allowed is None else w.multiply(allowed), copy=True)
+    w.sum_duplicates()
+    if drop:
+        big = abs(w).max(axis=1).toarray().ravel()
+        w.data[np.abs(w.data) < drop * np.repeat(big, np.diff(w.indptr))] = 0.0
+    w.eliminate_zeros()
+    v_f, v_c = (np.ones(w.shape[0]), np.ones(w.shape[1])) if v is None else v
+    counts = np.diff(w.indptr)
+    target = w @ v_c
+    bad = np.flatnonzero((counts == 0) | (target == 0.0))
+    if bad.size:
+        i = fine[bad[0]]
+        if counts[bad[0]] == 0:
+            raise InterpolationError(f"fine row {i} has no strong coarse neighbor; re-coarsen")
+        raise InterpolationError(f"fine row {i} cannot be rescaled: its truncated row "
+                                 "gives W v_C = 0")
+    w.data /= np.repeat(target / v_f, counts)
+    return w
 
 
 def direct_interpolation(a, split, s):
     """Strong C-neighbor averaging with unit row sums on F rows."""
-    coarse_col = _strong_coarse_map(split)
-    rows, cols, vals = [], [], []
-    for pos, i in enumerate(split.fine_indices):
-        strong_c = [j for j in s.neighbors(i) if coarse_col[j] >= 0]
-        if not strong_c:
-            raise InterpolationError(
-                f"fine row {i} has no strong coarse neighbor; re-coarsen")
-        weights = np.array([a.mat[i, j] for j in strong_c])
-        total = weights.sum()
-        if total == 0.0:
-            raise InterpolationError(f"zero row sum at fine row {i}")
-        for j, wgt in zip(strong_c, weights / total):
-            rows.append(pos)
-            cols.append(coarse_col[j])
-            vals.append(wgt)
-    return _assemble_cf(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                        np.array(vals), split, "direct")
-
-
-def _distance2_pattern(split, s):
-    """Allowed coarse columns per F row: strong C neighbors within distance 2."""
-    coarse_col = _strong_coarse_map(split)
-    pattern = []
-    for i in split.fine_indices:
-        allowed = set()
-        for j in s.neighbors(i):
-            if coarse_col[j] >= 0:
-                allowed.add(int(coarse_col[j]))
-            else:
-                for k in s.neighbors(j):
-                    if coarse_col[k] >= 0:
-                        allowed.add(int(coarse_col[k]))
-        pattern.append(sorted(allowed))
-    return pattern
+    _, a_fc = _fine_blocks(a.mat, split)
+    w = _scale_rows(a_fc, split.fine_indices, _strong_reach(split, s, 1))
+    return _assemble_cf(w, split, "direct")
 
 
 def standard_interpolation(a, split, s):
@@ -140,72 +146,32 @@ def standard_interpolation(a, split, s):
     a Jacobi iteration on A_FF W = -A_FC, the result is truncated to coarse
     points within strong distance two, and F rows are rescaled to unit sum.
     """
-    fine, coarse = split.fine_indices, split.coarse_indices
-    a_ff = a.mat[fine][:, fine].tocsr()
-    a_fc = a.mat[fine][:, coarse].tocsr()
-    dinv = 1.0 / a_ff.diagonal()
-    w1 = -sp.diags(dinv) @ a_fc
-    w = w1 + sp.diags(dinv) @ (-a_fc - a_ff @ w1)
-    pattern = _distance2_pattern(split, s)
-    rows, cols, vals = [], [], []
-    w = w.tolil()
-    for pos in range(fine.size):
-        allowed = pattern[pos]
-        if not allowed:
-            raise InterpolationError(
-                f"fine row {fine[pos]} has no strong coarse neighbor within distance 2")
-        row = np.array([w[pos, c] for c in allowed])
-        total = row.sum()
-        if total == 0.0:
-            raise InterpolationError(f"zero row sum at fine row {fine[pos]}")
-        for c, wgt in zip(allowed, row / total):
-            if wgt != 0.0:
-                rows.append(pos)
-                cols.append(c)
-                vals.append(wgt)
-    return _assemble_cf(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                        np.array(vals), split, "standard")
+    a_ff, a_fc = _fine_blocks(a.mat, split)
+    w = _jacobi_step(a_ff, a_fc, -sp.diags(1.0 / a_ff.diagonal()) @ a_fc)
+    w = _scale_rows(w, split.fine_indices, _strong_reach(split, s, 2))
+    return _assemble_cf(w, split, "standard")
 
 
 def multipass_interpolation(a, split, s):
     """Interpolation for aggressive coarsening, one distance level at a time.
 
     F points adjacent to C interpolate directly; each farther level-set
-    substitutes the already-built rows of its nearer strong neighbors and
-    rescales, so every F row keeps unit row sum.
+    substitutes the already-built rows of its nearer strong neighbors,
+    W_L = (A o S)[L, L-1] W_{L-1} with W_0 the identity on C, and rescales,
+    so every F row keeps unit row sum.
     """
-    coarse_col = _strong_coarse_map(split)
     dist = bfs_distance(s.graph, split.coarse_indices)
     if (dist < 0).any():
         bad = int(np.flatnonzero(dist < 0)[0])
         raise InterpolationError(f"vertex {bad} is unreachable from C in the strength graph")
-    n_c = split.n_coarse
-    fine = split.fine_indices
-    fine_pos = {int(v): k for k, v in enumerate(fine)}
-    w_rows = [None] * fine.size  # dict col -> weight per F row
-    max_d = int(dist.max()) if fine.size else 0
-    for level in range(1, max_d + 1):
-        for i in fine[dist[fine] == level]:
-            acc = {}
-            for j in s.neighbors(i):
-                aij = a.mat[i, j]
-                if dist[j] == 0 and coarse_col[j] >= 0:
-                    acc[int(coarse_col[j])] = acc.get(int(coarse_col[j]), 0.0) + aij
-                elif dist[j] == level - 1:
-                    for c, wgt in w_rows[fine_pos[int(j)]].items():
-                        acc[c] = acc.get(c, 0.0) + aij * wgt
-            total = sum(acc.values())
-            if not acc or total == 0.0:
-                raise InterpolationError(f"zero substituted row at fine vertex {i}")
-            w_rows[fine_pos[int(i)]] = {c: wgt / total for c, wgt in acc.items()}
-    rows, cols, vals = [], [], []
-    for pos, row in enumerate(w_rows):
-        for c, wgt in sorted(row.items()):
-            rows.append(pos)
-            cols.append(c)
-            vals.append(wgt)
-    return _assemble_cf(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                        np.array(vals), split, "multipass")
+    strong_a = a.mat.multiply(s.to_scipy())
+    coarse, n_c = split.coarse_indices, split.n_coarse
+    p = sp.csr_matrix((np.ones(n_c), (coarse, np.arange(n_c))), shape=(split.n, n_c))
+    for level in range(1, int(dist.max(initial=0)) + 1):
+        rows, prev = np.flatnonzero(dist == level), np.flatnonzero(dist == level - 1)
+        w = _scale_rows(strong_a[rows][:, prev] @ p[prev], rows).tocoo()
+        p = p + sp.csr_matrix((w.data, (rows[w.row], w.col)), shape=p.shape)
+    return Prolongation(from_scipy(p), "multipass")
 
 
 def ua_prolongation(partition, vectors=None):
@@ -376,34 +342,14 @@ def vector_preserving_interpolation(a, split, s, v):
     if np.any(v_f == 0.0):
         bad = int(fine[np.flatnonzero(v_f == 0.0)[0]])
         raise InterpolationError(f"prototype vanishes at fine row {bad}; re-relax it")
-    a_ff = a.mat[fine][:, fine].tocsr()
-    a_fc = a.mat[fine][:, coarse].tocsr()
+    a_ff, a_fc = _fine_blocks(a.mat, split)
     d_v = (a_fc @ v_c) / v_f
     if np.any(d_v == 0.0):
         bad = int(fine[np.flatnonzero(d_v == 0.0)[0]])
         raise InterpolationError(f"fine row {bad} has no usable coarse coupling")
-    w0 = sp.diags(1.0 / d_v) @ a_fc
-    dinv = sp.diags(1.0 / a_ff.diagonal())
-    w = w0 + dinv @ (-a_fc - a_ff @ w0)
-    pattern = _distance2_pattern(split, s)
-    w = w.tolil()
-    rows, cols, vals = [], [], []
-    for pos in range(fine.size):
-        allowed = pattern[pos]
-        row = np.array([w[pos, c] for c in allowed])
-        if row.size:
-            row[np.abs(row) < 1e-3 * np.abs(row).max()] = 0.0
-        target = float(np.array([v_c[c] for c in allowed]) @ row) if row.size else 0.0
-        if target == 0.0:
-            raise InterpolationError(f"truncated row at fine row {fine[pos]} cannot preserve v")
-        scale = v_f[pos] / target
-        for c, wgt in zip(allowed, row * scale):
-            if wgt != 0.0:
-                rows.append(pos)
-                cols.append(c)
-                vals.append(wgt)
-    return _assemble_cf(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                        np.array(vals), split, "vector_preserving")
+    w = _jacobi_step(a_ff, a_fc, sp.diags(1.0 / d_v) @ a_fc)
+    w = _scale_rows(w, fine, _strong_reach(split, s, 2), (v_f, v_c), drop=1e-3)
+    return _assemble_cf(w, split, "vector_preserving")
 
 
 def spectral_amge_coarse_space(assembly, element_labels, m_per):

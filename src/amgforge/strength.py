@@ -81,35 +81,11 @@ def strength_value(a, i, j, variant="classical_sym"):
     """Symmetric strength s_c(i, j) of one stored off-diagonal pair."""
     if i == j:
         raise ValueError("strength is defined for i != j")
-    aij = a.mat[i, j]
-    if aij == 0.0:
+    rows, cols, s = _pairwise_values(a, variant)
+    hit = np.flatnonzero((rows == i) & (cols == j))
+    if not hit.size:
         raise ValueError("pair (i, j) is not stored in A")
-    if variant == "classical_sym":
-        # pairs with a_ij > 0 are ignored (value 0); the symmetrization keeps
-        # an edge only when both endpoints see it as strong, so the larger
-        # row maximum sits in the denominator
-        if aij > 0.0:
-            return 0.0
-        row_max = _neg_row_max(a)
-        denom = max(row_max[i], row_max[j])
-        if denom <= 0.0:
-            return 0.0
-        return -aij / denom
-    if variant == "avg_sym":
-        means = _abs_row_mean(a)
-        return abs(aij) / max(means[i], means[j])
-    diag = a.diagonal()
-    if variant == "cauchy_s1":
-        return abs(aij) / np.sqrt(diag[i] * diag[j])
-    if variant == "cauchy_s2":
-        return -2.0 * aij / (diag[i] + diag[j])
-    if variant == "pair_local_opt":
-        s1 = abs(aij) / np.sqrt(diag[i] * diag[j])
-        s2 = -2.0 * aij / (diag[i] + diag[j])
-        if s2 >= 1.0:  # exactly singular pair
-            return np.inf
-        return (1.0 - s1 * s1) / (1.0 - s2)
-    raise ValueError(f"strength_value does not support variant {variant!r}")
+    return float(s[hit[0]])
 
 
 def _pairwise_values(a, variant):
@@ -119,6 +95,9 @@ def _pairwise_values(a, variant):
     rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
     diag = a.diagonal()
     if variant == "classical_sym":
+        # pairs with a_ij > 0 are ignored (value 0); the symmetrization keeps
+        # an edge only when both endpoints see it as strong, so the larger
+        # row maximum sits in the denominator
         row_max = _neg_row_max(a)
         denom = np.maximum(row_max[rows], row_max[cols])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -133,10 +112,10 @@ def _pairwise_values(a, variant):
     elif variant == "pair_local_opt":
         s1 = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
         s2 = -2.0 * vals / (diag[rows] + diag[cols])
-        # s2 = 1 only for an exactly singular 2x2 pair; treat as infinitely
-        # strong rather than warn
-        with np.errstate(divide="ignore"):
-            s = np.where(s2 < 1.0, (1.0 - s1 * s1) / (1.0 - s2), np.inf)
+        # s2 = 1 only for an exactly singular 2x2 pair: infinitely strong
+        s = np.full(vals.shape, np.inf)
+        ok = s2 < 1.0
+        s[ok] = (1.0 - s1[ok] * s1[ok]) / (1.0 - s2[ok])
     else:
         raise ValueError(f"unknown entrywise variant {variant!r}")
     return rows, cols, s

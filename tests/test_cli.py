@@ -99,6 +99,17 @@ class TestSolve:
         assert "internal error" not in err
         assert "level 0" in err and "coarsening" in err and "theta" in err
 
+    def test_interpolation_failure_is_setup_error(self, tmp_path, capsys):
+        out = tmp_path / "aniso.mtx"
+        main(["generate", "--kind", "fe_aniso", "--n", "20", "--epsilon", "1e-3",
+              "--out", str(out)])
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(out), "--set", "coarsening=aggressive",
+                     "--set", "interpolation=direct"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "fine row" in err and "coarsening" in err and "theta" in err
+
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         main(["generate", "--kind", "fd5", "--n", "8", "--out", str(out)])

@@ -100,6 +100,11 @@ class TestPairwise:
         part = pairwise_aggregate(a)
         assert part.n_aggregates == 1
 
+    def test_singular_pair_matched(self):
+        # pair_local_opt scores an exactly singular pair +inf, as strength does
+        a = sparse.from_dense([[1.0, -1.0], [-1.0, 1.0]], sparse.SYMMETRIC)
+        assert pairwise_aggregate(a).labels.tolist() == [0, 0]
+
     def test_two_passes_compose(self):
         part = pairwise_aggregate(problems.laplace_1d(8), passes=2)
         assert part.n_aggregates == 2

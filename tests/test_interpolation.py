@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sps
+from hypothesis import given, settings, strategies as st
 
 from amgforge import coarsening, interpolation, problems, smoothers, sparse
 from amgforge.coarsening import AggregatePartition, CFSplitting
@@ -413,3 +417,90 @@ def test_all_builders_full_rank():
           energy_min_prolongation(a, supports_from_aggregates(part, s))]
     for p in ps:
         assert verify_full_rank(p), p.builder
+
+
+def random_m_matrix(n, seed, density):
+    """Seeded SPD M-matrix: random symmetric negative couplings, strictly
+    diagonally dominant rows."""
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((n, n)) < density, 1)
+    off = np.where(mask, -rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    off = off + off.T
+    a = off + np.diag(-off.sum(axis=1) + rng.uniform(0.01, 0.5, n))
+    return sparse.from_dense(a, sparse.SYMMETRIC)
+
+
+def classical_builds(a, theta, v):
+    """The four classical builders on A at one theta: multipass on an
+    aggressive (1, 2) splitting, the others on the MIS splitting."""
+    s = strength_matrix(a, StrengthConfig("classical_sym", theta))
+    split = coarsening.mis(s)
+    aggressive = coarsening.aggressive_coarsen(s, 1, 2)
+    return s, split, aggressive, {
+        "direct": lambda: direct_interpolation(a, split, s),
+        "standard": lambda: standard_interpolation(a, split, s),
+        "multipass": lambda: multipass_interpolation(a, aggressive, s),
+        "vector_preserving": lambda: vector_preserving_interpolation(a, split, s, v),
+    }
+
+
+GOLDEN_CASES = {
+    "fd5_16": lambda: problems.fd_poisson_5pt(16),
+    "fe_aniso_12": lambda: problems.fe_anisotropic(12, 1e-3),
+    "fe_jump_12": lambda: problems.fe_jump_coefficient(12, 1e-6)[0],
+    "random_m_0": lambda: random_m_matrix(40, 0, 0.1),
+    "random_m_1": lambda: random_m_matrix(40, 1, 0.2),
+}
+
+# CSR arrays ("<case>/<theta>/<builder>/{data,indices,indptr,shape}") of
+# every GOLDEN_CASES x theta x builder P, written by the per-row loop
+# builders that preceded the sparse-algebra ones (commit 51c6302).
+GOLDEN = Path(__file__).parent / "data" / "classical_p_reference.npz"
+
+
+def golden_prototype(n):
+    return 1.0 + 0.5 * np.cos(0.7 * np.arange(n))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_classical_p_matches_golden(case):
+    a = GOLDEN_CASES[case]()
+    with np.load(GOLDEN) as ref:
+        for theta in (0.25, 0.5):
+            _, _, _, builds = classical_builds(a, theta, golden_prototype(a.n_rows))
+            for name, build in builds.items():
+                key = f"{case}/{theta}/{name}"
+                got = build().matrix.mat
+                assert tuple(ref[key + "/shape"]) == got.shape, key
+                assert np.array_equal(ref[key + "/indptr"], got.indptr), key
+                assert np.array_equal(ref[key + "/indices"], got.indices), key
+                if name == "direct":
+                    assert np.array_equal(ref[key + "/data"], got.data), key
+                else:
+                    assert np.abs(ref[key + "/data"] - got.data).max() <= 1e-14, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.floats(0.05, 0.4),
+       st.sampled_from([0.25, 0.5]))
+def test_classical_p_properties_on_random_m_matrices(n, seed, density, theta):
+    a = random_m_matrix(n, seed, density)
+    v = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+    s, split, aggressive, builds = classical_builds(a, theta, v)
+    reach = s.to_scipy() + sps.identity(n, dtype=np.int64)
+    within = {"direct": reach.toarray(), "standard": (reach @ reach).toarray()}
+    for name, build in builds.items():
+        p = build()
+        mat = p.matrix.mat
+        cf = aggressive if name == "multipass" else split
+        coarse, fine = cf.coarse_indices, cf.fine_indices
+        assert np.array_equal(mat[coarse].toarray(), np.eye(coarse.size)), name
+        if name == "vector_preserving":
+            assert np.abs(mat[fine] @ v[coarse] - v[fine]).max(initial=0.0) <= 1e-12
+        else:
+            sums = mat[fine] @ np.ones(coarse.size)
+            assert np.abs(sums - 1.0).max(initial=0.0) <= 1e-12, name
+        if name in within:
+            rows, cols = mat[fine].nonzero()
+            assert (within[name][fine[rows], coarse[cols]] != 0).all(), name
+        assert verify_full_rank(p), name

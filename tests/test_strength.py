@@ -31,6 +31,17 @@ class TestStrengthValue:
         a = sparse.from_dense([[2.0, 1.0], [1.0, 2.0]], sparse.SYMMETRIC)
         assert strength_value(a, 0, 1, "classical_sym") == 0.0
 
+    def test_singular_pair_infinitely_strong(self):
+        a = sparse.from_dense([[1.0, -1.0], [-1.0, 1.0]], sparse.SYMMETRIC)
+        assert strength_value(a, 0, 1, "pair_local_opt") == np.inf
+
+    def test_pair_errors(self):
+        t = problems.laplace_1d(5)
+        with pytest.raises(ValueError, match="i != j"):
+            strength_value(t, 1, 1)
+        with pytest.raises(ValueError, match="not stored"):
+            strength_value(t, 0, 3)
+
     def test_cauchy_variants(self):
         t = problems.laplace_1d(3)
         assert strength_value(t, 0, 1, "cauchy_s1") == pytest.approx(0.5)
