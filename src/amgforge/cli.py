@@ -192,7 +192,7 @@ def _analyze_rows(cfg):
     if a.n_rows > analysis.DENSE_CAP:
         raise UsageError(f"analysis cap exceeded: n={a.n_rows} > {analysis.DENSE_CAP}")
     kernel = _detect_kernel(a)
-    smoother = smoothers.make_smoother(a, cfg["smoother"], cfg["omega"])
+    smoother = smoothers.make_smoother(a, cfg["smoother"], cfg["omega"], cfg["direction"])
     setup_cfg = setup_config_from(cfg)
     s = strength.strength_matrix(a, setup_cfg.strength_config())
     splitting = {"cf": coarsening.mis(s), "agg": coarsening.greedy_aggregate(s)}

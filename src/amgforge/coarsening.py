@@ -133,7 +133,7 @@ def greedy_aggregate(s, order=None):
         best = min(nbr_labels, key=lambda k: (sizes[k], k))
         labels[i] = best
         sizes[best] += 1
-    isolated = tuple(int(v) for v in range(n) if g.degree(v) == 0)
+    isolated = tuple(np.flatnonzero(np.diff(g.indptr) == 0).tolist())
     return AggregatePartition(labels, n_agg, isolated)
 
 

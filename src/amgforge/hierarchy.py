@@ -193,6 +193,10 @@ def setup(a, config=None):
     levels = []
     current = a
     while current.n_rows > config.n0 and len(levels) < config.max_levels - 1:
+        if levels and config.smoother == "line-gs":
+            raise SetupError(
+                f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
+                "have no grid lines; use another smoother or max_levels=2")
         p, s, coarse_obj = _coarsen_once(current, config)
         if p.n_coarse >= 0.95 * current.n_rows:
             raise SetupError(

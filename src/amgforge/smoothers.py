@@ -6,10 +6,12 @@ Every smoother is an immutable object over a fixed matrix A exposing
     action(g)            -- one application of the iterator, B g
     adjoint()            -- the smoother whose iterator is B^T
 
-Gauss-Seidel triangular solves go through a cached sparse LU of the
-triangular factor (natural ordering), so sweeps stay vectorized.
+Point and block Gauss-Seidel, B = (D_B/omega + L_B)^{-1}, solve with one
+sparse LU of the block-lower triangle of A; the adjoint solves with its
+transpose, so B^T is exact for any A and needs no second factorization.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,19 @@ def _check_diagonal(a):
     return d
 
 
-def _triangular_solver(t):
-    # LU of a triangular matrix with natural ordering is the matrix itself;
-    # this gives a compiled solve without densifying.
-    lu = spla.splu(sp.csc_matrix(t), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": False})
-    return lu.solve
+def _lower_solver(a, block_of, omega, ordering):
+    """Sparse LU of the block-lower triangle of A (the a_ij with block_of[i]
+    >= block_of[j]), its diagonal blocks divided by omega."""
+    coo = a.mat.tocoo()
+    bi, bj = block_of[coo.row], block_of[coo.col]
+    keep = bi >= bj
+    vals = np.where(bi == bj, coo.data / omega, coo.data)
+    t = sp.csc_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=a.shape)
+    try:
+        return spla.splu(t, permc_spec=ordering, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": False})
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SingularSmootherError(f"Gauss-Seidel triangle is singular: {exc}") from exc
 
 
 class Smoother:
@@ -93,27 +102,26 @@ class Jacobi(Smoother):
 
 
 class GaussSeidel(Smoother):
-    """B = (D/omega + L)^{-1} (forward) or (D/omega + U)^{-1} (backward)."""
+    """B = (D/omega + L)^{-1}, factored in natural order (a triangle has no
+    fill); the adjoint B^T is backward GS when A is symmetric."""
 
-    def __init__(self, a, omega=1.0, direction="forward"):
+    _trans = "N"
+
+    def __init__(self, a, omega=1.0):
         super().__init__(a)
         if omega <= 0:
             raise ValueError("omega must be positive")
-        if direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
         _check_diagonal(a)
         self.omega = float(omega)
-        self.direction = direction
-        tri = sp.tril(a.mat, -1) if direction == "forward" else sp.triu(a.mat, 1)
-        d = sp.diags(a.diagonal() / omega)
-        self._solve = _triangular_solver(tri + d)
+        self._lu = _lower_solver(a, np.arange(self.n), self.omega, "NATURAL")
 
     def action(self, g):
-        return self._solve(g)
+        return self._lu.solve(g, trans=self._trans)
 
     def adjoint(self):
-        flip = "backward" if self.direction == "forward" else "forward"
-        return GaussSeidel(self.a, self.omega, flip)
+        adj = copy.copy(self)
+        adj._trans = "T" if self._trans == "N" else "N"
+        return adj
 
 
 class SubspaceCorrection(Smoother):
@@ -150,34 +158,24 @@ class SubspaceCorrection(Smoother):
         return self
 
 
-class BlockGaussSeidel(SubspaceCorrection):
-    """Successive subspace correction: the same local solves, one after another.
+class BlockGaussSeidel(GaussSeidel):
+    """Block GS on a disjoint partition, B = (D_B + L_B)^{-1}: successive
+    subspace correction visiting the blocks in order (line GS for grid lines,
+    unit-weight GS for singletons).  The block triangle fills in when
+    factored, so it takes a fill-reducing ordering."""
 
-    On a disjoint block partition this is block Gauss-Seidel (line GS for
-    grid lines); singleton subspaces reproduce unit-weight forward
-    Gauss-Seidel.  The backward direction visits the subspaces in reverse
-    order and is the adjoint of the forward one.
-    """
+    def __init__(self, a, blocks):
+        Smoother.__init__(self, a)
+        idx = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+        if not np.array_equal(np.sort(idx), np.arange(self.n)):
+            raise ValueError("blocks must be disjoint and cover every index")
+        block_of = np.empty(self.n, dtype=np.int64)
+        block_of[idx] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        self.omega = 1.0
+        self._lu = _lower_solver(a, block_of, 1.0, "MMD_AT_PLUS_A")
 
-    def __init__(self, a, blocks, direction="forward"):
-        super().__init__(a, blocks)
-        self.direction = direction
-
-    def action(self, g):
-        order = range(len(self.subspaces))
-        if self.direction == "backward":
-            order = reversed(order)
-        x = np.zeros(self.n)
-        r = g.copy()
-        for k in order:
-            idx = self.subspaces[k]
-            x[idx] += scipy.linalg.cho_solve(self._factors[k], r[idx])
-            r = g - self.a @ x
-        return x
-
-    def adjoint(self):
-        flip = "backward" if self.direction == "forward" else "forward"
-        return BlockGaussSeidel(self.a, self.subspaces, flip)
+    def action(self, g):  # its own, so per-class action counts tell line from point GS
+        return self._lu.solve(g, trans=self._trans)
 
 
 class SymmetrizedSmoother(Smoother):
@@ -249,7 +247,7 @@ def block_partition_lines(n, direction="x"):
     return [idx[:, i].copy() for i in range(n)]
 
 
-def make_smoother(a, kind="gs", omega=None, direction="x", grid_n=None):
+def make_smoother(a, kind="gs", omega=None, direction="x"):
     """Config-key smoother factory: jacobi | gs | sgs | line-gs."""
     if kind == "jacobi":
         return Jacobi(a, omega)
@@ -258,7 +256,7 @@ def make_smoother(a, kind="gs", omega=None, direction="x", grid_n=None):
     if kind == "sgs":
         return symmetrize(GaussSeidel(a, 1.0 if omega is None else omega))
     if kind == "line-gs":
-        n = grid_n if grid_n is not None else int(round(np.sqrt(a.n_rows)))
+        n = int(round(np.sqrt(a.n_rows)))
         if n * n != a.n_rows:
             raise ValueError("line-gs needs a square grid problem")
         return BlockGaussSeidel(a, block_partition_lines(n, direction))

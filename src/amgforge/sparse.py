@@ -78,6 +78,8 @@ def _canonical_csr(mat):
 def from_scipy(mat, symmetry=GENERAL):
     """Wrap a scipy matrix, canonicalizing and checking the symmetry tag."""
     out = _canonical_csr(mat)
+    if not np.isfinite(out.data).all():
+        raise ValueError("matrix has non-finite entries")
     if symmetry == SYMMETRIC:
         if out.shape[0] != out.shape[1]:
             raise ValueError("symmetric tag requires a square matrix")
@@ -156,9 +158,6 @@ class Graph:
 
     def neighbors(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def degree(self, i):
-        return int(self.indptr[i + 1] - self.indptr[i])
 
     @property
     def n_edges(self):

@@ -125,7 +125,7 @@ def _affinity_values(a, cfg):
     """Relaxed-test-vector affinity on the off-diagonal pattern of A."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(-1.0, 1.0, size=(a.n_rows, cfg.affinity_k))
-    gs = GaussSeidel(a, 1.0, "forward")
+    gs = GaussSeidel(a, 1.0)
     zero = np.zeros(a.n_rows)
     for k in range(cfg.affinity_k):
         x[:, k] = gs.apply(zero, x[:, k], sweeps=cfg.affinity_nu)
@@ -155,7 +155,7 @@ def strength_matrix(a, cfg=StrengthConfig()):
         shape=a.shape,
     )
     graph = graph_from_scipy(pattern)
-    isolated = [int(v) for v in range(graph.n_vertices) if graph.degree(v) == 0]
+    isolated = np.flatnonzero(np.diff(graph.indptr) == 0).tolist()
     diag = {"isolated_vertices": isolated, "zero_valued_pairs": flagged,
             "seed": cfg.seed if cfg.variant == "affinity" else None}
     return StrengthMatrix(graph, cfg.theta, cfg.variant, diag)

@@ -110,6 +110,24 @@ class TestSolve:
         assert code == EXIT_NONCONVERGENCE
         assert "fine row" in err and "coarsening" in err and "theta" in err
 
+    def test_line_gs_multilevel_is_setup_error(self, tmp_path, capsys):
+        out = tmp_path / "aniso.mtx"
+        main(["generate", "--kind", "fe_aniso", "--n", "32", "--epsilon", "1e-3",
+              "--out", str(out)])
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(out), "--set", "smoother=line-gs"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "smoother=line-gs" in err and "no grid lines" in err
+
+    def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 2\n1 1 nan\n2 2 1.0\n")
+        code = main(["solve", "--matrix", str(bad)])
+        assert code == EXIT_USAGE
+        assert "non-finite" in capsys.readouterr().err
+
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         main(["generate", "--kind", "fd5", "--n", "8", "--out", str(out)])
@@ -149,6 +167,11 @@ class TestAnalyze:
     def test_emin_tol_reaches_builder(self, capsys):
         assert (self.e_norm_sq(capsys, "energymin", "emin_tol=1e-8")
                 != self.e_norm_sq(capsys, "energymin"))
+
+    def test_direction_reaches_smoother(self, capsys):
+        aniso = ("kind=fe_aniso", "n=12", "epsilon=1e-3", "smoother=line-gs")
+        assert (self.e_norm_sq(capsys, "ua", *aniso, "direction=x")
+                != self.e_norm_sq(capsys, "ua", *aniso, "direction=y"))
 
     def test_loose_emin_tol_is_not_internal_error(self, capsys):
         code = main(["analyze", "--set", "interpolation=energymin",

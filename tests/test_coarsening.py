@@ -71,7 +71,7 @@ class TestGreedyAggregate:
             np.diag([2.0, 2.0, 1.0]) - np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
             sparse.SYMMETRIC)
         part = greedy_aggregate(full_strength(a))
-        assert 2 in part.isolated
+        assert part.isolated == (2,) and type(part.isolated[0]) is int
 
 
 def _connected_in(s, members):

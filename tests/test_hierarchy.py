@@ -44,6 +44,14 @@ class TestSetup:
         with pytest.raises(ValueError, match="unknown config"):
             SetupConfig.from_mapping({"smother": "gs"})
 
+    def test_line_gs_refused_on_coarse_levels(self):
+        a = problems.fe_anisotropic(32, 1e-3)
+        with pytest.raises(SetupError, match="smoother=line-gs .* no grid lines"):
+            setup(a, {"smoother": "line-gs"})
+        # the coarse level of a two-level hierarchy is solved exactly, unsmoothed
+        h = setup(a, {"smoother": "line-gs", "max_levels": 2})
+        assert h.n_levels == 2
+
     def test_intermediates_recorded(self):
         h = setup(problems.fd_poisson_5pt(15))
         assert h.levels[0].strength is not None

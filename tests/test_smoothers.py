@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from amgforge import problems, smoothers, sparse
+from amgforge import hierarchy, problems, smoothers, sparse
 from amgforge.analysis import materialize
 from amgforge.smoothers import (BlockGaussSeidel, GaussSeidel, Jacobi,
                                 SingularSmootherError, SubspaceCorrection,
                                 SymmetrizedSmoother, block_partition_lines,
                                 convergence_bound, make_smoother, symmetrize)
+from test_interpolation import random_m_matrix
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
 
@@ -125,11 +128,18 @@ class TestSubspaceCorrection:
         e = np.eye(5) - materialize(solver.action, 5) @ a.toarray()
         assert np.abs(e).max() <= 1e-12
 
-    def test_successive_adjoint_is_transpose_with_overlap(self):
+    def test_successive_adjoint_is_transpose(self):
         a = problems.laplace_1d(6)
-        ssc = BlockGaussSeidel(a, [[0, 1, 2], [2, 3, 4], [4, 5]])
+        ssc = BlockGaussSeidel(a, [[0, 1, 2], [3, 4], [5]])
         fwd = materialize(ssc.action, 6)
         assert np.abs(materialize(ssc.adjoint().action, 6) - fwd.T).max() <= 1e-14
+
+    def test_successive_blocks_must_be_disjoint(self):
+        a = problems.laplace_1d(6)
+        with pytest.raises(ValueError, match="disjoint"):
+            BlockGaussSeidel(a, [[0, 1, 2], [2, 3, 4], [4, 5]])
+        with pytest.raises(ValueError, match="cover"):
+            BlockGaussSeidel(a, [[0, 1, 2], [3, 4]])
 
     def test_cover_required(self):
         with pytest.raises(ValueError):
@@ -139,6 +149,74 @@ class TestSubspaceCorrection:
         bad = sparse.from_dense([[1.0, 0, 0], [0, 1, 1], [0, 1, 1]], sparse.SYMMETRIC)
         with pytest.raises(SingularSmootherError, match="subspace 1"):
             SubspaceCorrection(bad, [[0], [1, 2]])
+
+
+def block_lower_triangle(dense, blocks):
+    block_of = np.empty(dense.shape[0], dtype=np.int64)
+    for k, idx in enumerate(blocks):
+        block_of[idx] = k
+    return np.where(block_of[:, None] >= block_of[None, :], dense, 0.0)
+
+
+class TestOneTriangularFactor:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 30), st.integers(0, 2**31), st.floats(0.1, 0.9))
+    def test_block_gs_is_block_lower_solve(self, n, seed, density):
+        a = random_m_matrix(n, seed, density)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(0, n), replace=False))
+        blocks = np.split(perm, cuts)
+        bgs = BlockGaussSeidel(a, blocks)
+        want = np.linalg.inv(block_lower_triangle(a.toarray(), blocks))
+        scale = np.abs(want).max()
+        fwd = materialize(bgs.action, n)
+        assert np.abs(fwd - want).max() <= 1e-12 * scale
+        assert np.abs(materialize(bgs.adjoint().action, n) - fwd.T).max() <= 1e-12 * scale
+        singletons = materialize(BlockGaussSeidel(a, [[i] for i in range(n)]).action, n)
+        gs = materialize(GaussSeidel(a).action, n)
+        assert np.abs(singletons - gs).max() <= 1e-14 * np.abs(gs).max()
+
+    def test_gs_adjoint_is_transpose_for_nonsymmetric_a(self):
+        rng = np.random.default_rng(12)
+        dense = rng.uniform(-1.0, 1.0, (12, 12))
+        dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+        a = sparse.from_dense(dense)
+        for omega in (1.0, 1.4):
+            gs = GaussSeidel(a, omega)
+            fwd = materialize(gs.action, 12)
+            want = np.linalg.inv(np.tril(dense, -1) + np.diag(np.diag(dense) / omega))
+            assert np.abs(fwd - want).max() <= 1e-14
+            assert np.abs(materialize(gs.adjoint().action, 12) - fwd.T).max() <= 1e-14
+            assert np.array_equal(materialize(gs.adjoint().adjoint().action, 12), fwd)
+
+    def test_setup_factors_once_per_smoothed_level(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        for kind in ("gs", "sgs"):
+            calls.clear()
+            h = hierarchy.setup(problems.fd_poisson_5pt(32), {"smoother": kind})
+            assert h.n_levels >= 3
+            assert calls == [lvl.a.shape for lvl in h.levels[:-1]]
+
+    def test_block_gs_action_does_no_matvec(self, monkeypatch):
+        n = 12
+        a = problems.fe_anisotropic(n, 1e-3)
+        line = BlockGaussSeidel(a, block_partition_lines(n, "x"))
+        matvecs = []
+        matmul = sparse.SparseMatrix.__matmul__
+        monkeypatch.setattr(sparse.SparseMatrix, "__matmul__",
+                            lambda m, x: matvecs.append(1) or matmul(m, x))
+        g = np.ones(n * n)
+        line.action(g)
+        line.adjoint().action(g)
+        assert matvecs == []
 
 
 class TestLineSmoothing:

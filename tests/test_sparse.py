@@ -231,6 +231,17 @@ def test_restrict_to_indices():
     assert np.array_equal(sub.toarray(), problems.laplace_1d(3).toarray() + 2 * np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    import scipy.sparse as sp
+
+    dense = np.array([[2.0, -1.0], [-1.0, bad]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse.from_scipy(sp.csr_matrix(dense))
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse.from_dense(dense, sparse.SYMMETRIC)
+
+
 def test_from_scipy_idempotent_and_cleans_foreign_matrices():
     import scipy.sparse as sp
 

@@ -91,6 +91,12 @@ class TestStrengthMatrix:
         a = problems.fe_anisotropic(3, 1e-3, "neumann")
         s = strength_matrix(a, StrengthConfig("classical_sym", 0.25))
         assert s.diagnostics["isolated_vertices"] == []
+        a = sparse.from_dense(np.diag([2.0, 2.0, 1.0, 2.0])
+                              - np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1),
+                              sparse.SYMMETRIC)
+        isolated = strength_matrix(a, StrengthConfig("classical_sym", 0.25)) \
+            .diagnostics["isolated_vertices"]
+        assert isolated == [2, 3] and all(type(v) is int for v in isolated)
 
     def test_permutation_equivariance_entrywise(self):
         a = problems.fd_poisson_5pt(3)
