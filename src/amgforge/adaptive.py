@@ -164,11 +164,15 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
     levels, parts, vectors = [], [], []
     current, cur_psi = a, psi
     while True:
-        smoother = make_smoother(current, smoother_kind)
         vectors.append(TestVectorSet(cur_psi.copy()))
         if current.n_rows <= n0 or len(levels) >= max_levels - 1:
             levels.append(hmod.Level(current))
             break
+        if levels and smoother_kind == "line-gs":
+            raise hmod.SetupError(
+                f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
+                "have no grid lines; use another smoother")
+        smoother = make_smoother(current, smoother_kind)
         relaxed = _relax_block(current, smoother, cur_psi, q)
         delta = _block_delta(current, cur_psi, relaxed)
         vectors[-1].history.append(delta)

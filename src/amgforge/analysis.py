@@ -4,16 +4,22 @@ Everything here is desk-scale by design: symmetric eigensolves verify the
 exact convergence identity (error norm squared = 1 - 1/K), the optimality of
 low-end eigenvector coarse spaces, and the trace-minimization bound, for any
 smoother/prolongation pair produced by the rest of the package.
+
+Within ``DENSE_CAP`` unknowns the error norm is exact: the top eigenvalue of
+the pencil (E'AE, A) of the materialized propagator.  The Rbar-norm oracles
+share one dense frame (A, Rbar, Rbar^{-1}, Rbar^{1/2} and the kernel
+complement) built from a single eigendecomposition of Rbar.  Beyond the cap
+only the error norm is available, by subspace iteration with sparse LU solves.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import sparse
 from .linalg import SymPseudoInverse
 from .smoothers import Smoother, symmetrize
 
@@ -24,56 +30,113 @@ def materialize(action, n):
     return np.column_stack([action(e) for e in np.eye(n)])
 
 
-def _rbar_matrix(rbar, n):
-    """Symmetric part of Rbar, given as a smoother or a dense n x n array."""
+def _columns(kernel):
+    """Kernel vectors as the columns of a float array, or None."""
+    if kernel is None:
+        return None
+    return np.atleast_2d(np.asarray(kernel, dtype=float).T).T
+
+
+def _complement(kernel):
+    """Euclidean-orthonormal basis of a complement of the kernel columns, from
+    the complete QR; None when there is no kernel."""
+    if kernel is None or kernel.size == 0:
+        return None
+    q, _ = np.linalg.qr(kernel, mode="complete")
+    return q[:, kernel.shape[1]:]
+
+
+def _restrict(mat, u):
+    return mat if u is None else u.T @ mat @ u
+
+
+def _top_eigenvalue(m, b):
+    """Largest eigenvalue of the symmetric pencil (m, b), b positive definite."""
+    k = m.shape[0]
+    return float(scipy.linalg.eigh(0.5 * (m + m.T), b, eigvals_only=True,
+                                   subset_by_index=[k - 1, k - 1])[0])
+
+
+@dataclass
+class _Frame:
+    """Dense A and Rbar with the factors every Rbar-norm oracle shares."""
+
+    a: np.ndarray  # dense A
+    rbar: np.ndarray  # symmetric part of Rbar
+    rinv: np.ndarray  # Rbar^{-1}
+    sqrt_r: np.ndarray  # Rbar^{1/2}
+    kernel: np.ndarray = None  # kernel columns of A, if singular
+    complement: np.ndarray = None  # orthonormal basis of the kernel complement
+
+
+def _frame(a, rbar, kernel=None):
+    """One dense frame of (A, Rbar): Rbar as a smoother, a dense n x n array
+    or an existing frame, which keeps its kernel unless another is given."""
+    kernel = _columns(kernel)
+    if isinstance(rbar, _Frame):
+        if kernel is None:
+            return rbar
+        return replace(rbar, kernel=kernel, complement=_complement(kernel))
+    n = a.n_rows
+    if n > DENSE_CAP:
+        raise ValueError("Rbar frame is a dense oracle; n exceeds the cap")
     if isinstance(rbar, Smoother):
         rbar = materialize(rbar.action, n)
     rbar = np.asarray(rbar, dtype=float)
     if rbar.shape != (n, n):
         raise ValueError("Rbar has the wrong shape")
-    return 0.5 * (rbar + rbar.T)
-
-
-def _range_basis(a_dense, kernel):
-    """Euclidean-orthonormal basis of a complement of the kernel."""
-    n = a_dense.shape[0]
-    if kernel is None or kernel.size == 0:
-        return np.eye(n)
-    q, _ = np.linalg.qr(np.atleast_2d(kernel.T).T)
-    full = np.linalg.svd(np.eye(n) - q @ q.T)[0]
-    return full[:, : n - q.shape[1]]
+    rbar = 0.5 * (rbar + rbar.T)
+    w, v = scipy.linalg.eigh(rbar)
+    if w[0] <= 0.0:
+        raise ValueError("Rbar must be SPD (smoother not A-convergent)")
+    return _Frame(a.toarray(), rbar, (v / w) @ v.T, (v * np.sqrt(w)) @ v.T,
+                  kernel, _complement(kernel))
 
 
 def error_norm(a, e_action, e_action_t=None, kernel=None, dense_cap=DENSE_CAP,
                steps=500, tol=1e-12, seed=0, block=4):
-    """A-norm of an error propagator by power iteration on E*E.
+    """A-norm of an error propagator E, on the complement of A's kernel.
 
-    The power iteration runs on a small block (subspace iteration with a
-    Rayleigh-Ritz projection each step), which stays reliable when the top
-    of the spectrum clusters.  The adjoint is taken in the A-inner product,
-    so each step needs one solve with A: a sparse factorization when A is
-    nonsingular, the dense pseudo-inverse (kernel deflation) otherwise.
-    Estimates above 1 + 1e-8 are flagged with a warning but still returned.
+    For n <= dense_cap the value is exact: E is materialized and the result
+    is the square root of the top eigenvalue of the pencil (E'AE, A) from one
+    generalized eigensolve; ``e_action_t``, ``steps``, ``tol``, ``seed`` and
+    ``block`` are then unused.  A singular A needs its ``kernel`` there.
+    Beyond the cap (nonsingular A only) the norm comes from subspace
+    iteration on E*E: a block of ``block`` vectors with a Rayleigh-Ritz
+    projection each step, the adjoint taken in the A-inner product through a
+    sparse LU of A.  Values above 1 + 1e-8 are flagged with a warning but
+    still returned.
     """
     n = a.n_rows
-    if kernel is not None:
-        kernel = np.atleast_2d(np.asarray(kernel, dtype=float).T).T
-        if n > dense_cap:
-            raise ValueError("singular problems need n within the dense cap")
-        pinv = SymPseudoInverse(a.toarray())
-        solve = pinv.solve
-        q, _ = np.linalg.qr(kernel)
-        deflate = lambda v: v - q @ (q.T @ v)
+    kernel = _columns(kernel)
+    if n <= dense_cap:
+        e = materialize(e_action, n)
+        u = _complement(kernel)
+        if u is not None:
+            e = e @ u
+        a_u = a.toarray() if u is None else u.T @ (a.mat @ u)
+        try:
+            lam = _top_eigenvalue(e.T @ (a.mat @ e), a_u)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("A is singular on the tested space; pass its "
+                             "kernel") from exc
     else:
-        lu = spla.splu(a.mat.tocsc())
-        solve = lu.solve
-        deflate = lambda v: v
-    if e_action_t is None:
-        if n > dense_cap:
+        if kernel is not None:
+            raise ValueError("singular problems need n within the dense cap")
+        if e_action_t is None:
             raise ValueError("supply the transposed action beyond the dense cap")
-        e_mat = materialize(e_action, n)
-        e_action = lambda v: e_mat @ v
-        e_action_t = lambda v: e_mat.T @ v
+        lam = _subspace_iteration(a, e_action, e_action_t, steps, tol, seed, block)
+    value = np.sqrt(max(lam, 0.0))
+    if value > 1.0 + 1e-8:
+        warnings.warn(f"error propagator is not contractive: estimate {value:.6f}",
+                      stacklevel=2)
+    return value
+
+
+def _subspace_iteration(a, e_action, e_action_t, steps, tol, seed, block):
+    """Top eigenvalue of E*E (adjoint in the A-inner product) for nonsingular A."""
+    n = a.n_rows
+    solve = spla.splu(a.mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
     amat = a.mat
     b = max(1, min(block, n))
 
@@ -91,8 +154,7 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, dense_cap=DENSE_CAP,
         return None
 
     rng = np.random.default_rng(seed)
-    v = orthonormalize(np.column_stack(
-        [deflate(rng.uniform(-1.0, 1.0, n)) for _ in range(b)]))
+    v = orthonormalize(np.column_stack([rng.uniform(-1.0, 1.0, n) for _ in range(b)]))
     lam = 0.0
     if v is None:
         return 0.0
@@ -101,48 +163,48 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, dense_cap=DENSE_CAP,
         # Rayleigh-Ritz estimate on the current A-orthonormal block
         h = ev.T @ (amat @ ev)
         lam_new = float(scipy.linalg.eigh(0.5 * (h + h.T), eigvals_only=True)[-1])
-        w = np.column_stack([deflate(solve(e_action_t(amat @ ev[:, k])))
+        w = np.column_stack([solve(e_action_t(amat @ ev[:, k]))
                              for k in range(ev.shape[1])])
         v_next = orthonormalize(w)
         if v_next is None:
-            lam = lam_new
-            break
+            return lam_new
         v = v_next
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
+            return lam_new
         lam = lam_new
-    value = np.sqrt(max(lam, 0.0))
-    if value > 1.0 + 1e-8:
-        warnings.warn(f"error propagator is not contractive: estimate {value:.6f}",
-                      stacklevel=2)
-    return value
+    return lam
 
 
 def two_level_error_action(a, smoother, p):
     """Actions of E = (I - RA)(I - Pi_c) and its transpose.
 
-    The coarse solve uses the symmetric pseudo-inverse of P^T A P, so
-    semidefinite coarse matrices are handled by the global convention.
+    Within the dense cap the coarse solve uses the symmetric pseudo-inverse
+    of P^T A P, so semidefinite coarse matrices follow the global convention;
+    beyond it, a sparse LU of P^T A P, which must be nonsingular.
     """
     pm = p.matrix if hasattr(p, "matrix") else p
-    if isinstance(pm, np.ndarray):
-        pmat = pm
-        a_c = pmat.T @ (a.mat @ pmat)
+    pmat = pm if isinstance(pm, np.ndarray) else pm.mat
+    a_c = pmat.T @ (a.mat @ pmat)
+    if a.n_rows > DENSE_CAP:
+        try:
+            coarse_solve = spla.splu(sp.csc_matrix(0.5 * (a_c + a_c.T)),
+                                     permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            raise ValueError(f"coarse matrix P^T A P is singular: {exc}") from exc
     else:
-        pmat = pm.mat
-        a_c = (pmat.T @ (a.mat @ pmat)).toarray()
-    coarse = SymPseudoInverse(0.5 * (a_c + a_c.T))
+        a_c = a_c if isinstance(a_c, np.ndarray) else a_c.toarray()
+        coarse_solve = SymPseudoInverse(0.5 * (a_c + a_c.T)).solve
+    pmat_t = pmat.T
     amat = a.mat
     adj = smoother.adjoint()
 
     def e_action(v):
-        w = v - pmat @ coarse.solve(pmat.T @ (amat @ v))
+        w = v - pmat @ coarse_solve(pmat_t @ (amat @ v))
         return w - smoother.action(amat @ w)
 
     def e_action_t(v):
         w = v - amat @ (adj.action(v))
-        return w - amat @ (pmat @ coarse.solve(pmat.T @ w))
+        return w - amat @ (pmat @ coarse_solve(pmat_t @ w))
 
     return e_action, e_action_t
 
@@ -158,34 +220,28 @@ def k_of_vc(a, rbar, p, kernel=None):
 
     Computed densely as the largest eigenvalue of the pencil
     (I-Q_c)' Rbar^{-1} (I-Q_c) v = lambda A v, with Q_c the
-    Rbar^{-1}-orthogonal projection onto range(P).
+    Rbar^{-1}-orthogonal projection onto range(P).  ``rbar`` is a smoother,
+    a dense array or a frame; a frame built with a kernel brings it along.
     """
     n = a.n_rows
     if n > DENSE_CAP:
         raise ValueError("K(V_c) is a dense oracle; n exceeds the cap")
-    rbar_m = _rbar_matrix(rbar, n)
-    w = scipy.linalg.eigh(rbar_m, eigvals_only=True)
-    if w[0] <= 0.0:
-        raise ValueError("Rbar must be SPD (smoother not A-convergent)")
-    rinv = np.linalg.inv(rbar_m)
+    f = _frame(a, rbar, kernel)
+    rinv = f.rinv
     pm = p.matrix.toarray() if hasattr(p, "matrix") else np.asarray(p, dtype=float)
-    a_dense = a.toarray()
-    if kernel is not None:
-        kernel = np.atleast_2d(np.asarray(kernel, dtype=float).T).T
-        coef, resid, *_ = np.linalg.lstsq(pm, kernel, rcond=None)
-        defect = np.linalg.norm(pm @ coef - kernel)
-        if defect > 1e-8 * max(1.0, np.linalg.norm(kernel)):
+    if f.kernel is not None:
+        coef, *_ = np.linalg.lstsq(pm, f.kernel, rcond=None)
+        defect = np.linalg.norm(pm @ coef - f.kernel)
+        if defect > 1e-8 * max(1.0, np.linalg.norm(f.kernel)):
             raise ValueError("kernel of A is not contained in range(P)")
     gram = pm.T @ rinv @ pm
     q_c = pm @ np.linalg.solve(gram, pm.T @ rinv)
     resid_op = np.eye(n) - q_c
     m = resid_op.T @ rinv @ resid_op
-    u = _range_basis(a_dense, kernel)
-    lam = scipy.linalg.eigh(u.T @ (0.5 * (m + m.T)) @ u, u.T @ a_dense @ u,
-                            eigvals_only=True)
+    u = f.complement
     # K >= 1 whenever range(P) is a proper subspace; the degenerate
     # full-space case (Q_c = identity) has rate 0, i.e. K = 1
-    return float(max(lam[-1], 1.0))
+    return max(_top_eigenvalue(_restrict(m, u), _restrict(f.a, u)), 1.0)
 
 
 def optimal_coarse_space(a, rbar, n_c):
@@ -193,19 +249,15 @@ def optimal_coarse_space(a, rbar, n_c):
 
     Returns (P_opt, mu): columns are Rbar^{-1}-orthonormal eigenvectors for
     the n_c smallest eigenvalues; the exact two-level rate with this space
-    is 1 - mu_{n_c+1}.
+    is 1 - mu_{n_c+1}.  ``rbar`` is a smoother, a dense array or a frame.
     """
     n = a.n_rows
     if n > DENSE_CAP:
         raise ValueError("optimal coarse space is a dense oracle; n exceeds the cap")
-    rbar_m = _rbar_matrix(rbar, n)
-    w, v = scipy.linalg.eigh(rbar_m)
-    if w[0] <= 0.0:
-        raise ValueError("Rbar must be SPD")
-    sqrt_r = v @ np.diag(np.sqrt(w)) @ v.T
-    c = sqrt_r @ a.toarray() @ sqrt_r
+    f = _frame(a, rbar)
+    c = f.sqrt_r @ f.a @ f.sqrt_r
     mu, y = scipy.linalg.eigh(0.5 * (c + c.T))
-    zeta = sqrt_r @ y
+    zeta = f.sqrt_r @ y
     return zeta[:, :n_c], mu
 
 
@@ -227,19 +279,16 @@ def _rbar_inv_orthonormalize(x, rinv):
 def trace_check(a, rbar, p_opt, candidates, tol=1e-9):
     """Ky-Fan trace bound: no Rbar^{-1}-orthonormal basis of matching width
     can push trace(Q' A Q) below the sum of the n_c smallest eigenvalues."""
-    n = a.n_rows
-    rbar_m = _rbar_matrix(rbar, n)
-    rinv = np.linalg.inv(rbar_m)
-    a_dense = a.toarray()
-    _, mu = optimal_coarse_space(a, rbar_m, p_opt.shape[1])
+    f = _frame(a, rbar)
     n_c = p_opt.shape[1]
+    _, mu = optimal_coarse_space(a, f, n_c)
     bound = float(mu[:n_c].sum())
-    q_opt = _rbar_inv_orthonormalize(np.asarray(p_opt, dtype=float), rinv)
-    opt_trace = float(np.trace(q_opt.T @ a_dense @ q_opt))
+    q_opt = _rbar_inv_orthonormalize(np.asarray(p_opt, dtype=float), f.rinv)
+    opt_trace = float(np.trace(q_opt.T @ f.a @ q_opt))
     traces = []
     for cand in candidates:
-        q = _rbar_inv_orthonormalize(np.asarray(cand, dtype=float), rinv)
-        traces.append(float(np.trace(q.T @ a_dense @ q)))
+        q = _rbar_inv_orthonormalize(np.asarray(cand, dtype=float), f.rinv)
+        traces.append(float(np.trace(q.T @ f.a @ q)))
     return TraceReport(
         bound=bound,
         optimal_trace=opt_trace,
@@ -255,10 +304,9 @@ def classify_frequencies(a, rbar, v, eps, delta):
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         raise ValueError("cannot classify the zero vector")
-    n = a.n_rows
-    rbar_m = _rbar_matrix(rbar, n)
+    f = _frame(a, rbar)
     energy = float(v @ (a.mat @ v))
-    rnorm = float(v @ np.linalg.solve(rbar_m, v))
+    rnorm = float(v @ (f.rinv @ v))
     if energy <= eps * rnorm:
         return "low"
     if energy >= delta * rnorm:
@@ -303,13 +351,17 @@ class TwoLevelReport:
 
 
 def two_level_report(a, smoother, p, kernel=None, include_mu=False):
-    """Measure the exact two-level rate and its theoretical value side by side."""
-    rbar = symmetrize(smoother)
+    """Measure the exact two-level rate and its theoretical value side by side.
+
+    The measured side, |E|_A^2, never sees Rbar; the theoretical side, K and
+    the optimal spectrum, share one frame of Rbar.
+    """
+    frame = _frame(a, symmetrize(smoother), kernel)
     e_sq = two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
-    k = k_of_vc(a, rbar, p, kernel=kernel)
+    k = k_of_vc(a, frame, p)
     builder = getattr(p, "builder", "custom")
     n_c = p.matrix.n_cols if hasattr(p, "matrix") else np.asarray(p).shape[1]
-    mu = optimal_coarse_space(a, rbar, n_c)[1] if include_mu else None
+    mu = optimal_coarse_space(a, frame, n_c)[1] if include_mu else None
     return TwoLevelReport(builder, a.n_rows, n_c, float(e_sq), float(k), mu)
 
 
@@ -324,9 +376,7 @@ def additive_condition(a, p, kernel=None):
     a_c = pm.T @ a_dense @ pm
     coarse = SymPseudoInverse(0.5 * (a_c + a_c.T))
     b_hat = pm @ coarse.matrix() @ pm.T + np.diag(1.0 / a.diagonal())
-    u = _range_basis(a_dense, None if kernel is None
-                     else np.atleast_2d(np.asarray(kernel, dtype=float).T).T)
-    au = u.T @ a_dense @ u
-    m = u.T @ (a_dense @ b_hat @ a_dense) @ u
-    lam = scipy.linalg.eigh(0.5 * (m + m.T), au, eigvals_only=True)
+    u = _complement(_columns(kernel))
+    m = _restrict(a_dense @ b_hat @ a_dense, u)
+    lam = scipy.linalg.eigh(0.5 * (m + m.T), _restrict(a_dense, u), eigvals_only=True)
     return float(lam[-1] / lam[0])

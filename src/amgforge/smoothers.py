@@ -3,7 +3,8 @@
 Every smoother is an immutable object over a fixed matrix A exposing
 
     apply(b, x, sweeps)  -- run stationary sweeps x <- x + B(b - A x)
-    action(g)            -- one application of the iterator, B g
+    action(g)            -- one application of the iterator, B g; an (n, k)
+                            block g is acted on column by column
     adjoint()            -- the smoother whose iterator is B^T
 
 Point and block Gauss-Seidel, B = (D_B/omega + L_B)^{-1}, solve with one
@@ -95,7 +96,8 @@ class Jacobi(Smoother):
         self.omega = float(omega)
 
     def action(self, g):
-        return self.omega * (self._dinv * g)
+        dinv = self._dinv if np.ndim(g) == 1 else self._dinv[:, None]
+        return self.omega * (dinv * g)
 
     def adjoint(self):
         return self
@@ -149,7 +151,7 @@ class SubspaceCorrection(Smoother):
                 raise SingularSmootherError(f"local block for subspace {k} is singular") from exc
 
     def action(self, g):
-        out = np.zeros(self.n)
+        out = np.zeros(np.shape(g))
         for idx, fac in zip(self.subspaces, self._factors):
             out[idx] += scipy.linalg.cho_solve(fac, g[idx])
         return out

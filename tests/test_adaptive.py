@@ -112,6 +112,20 @@ class TestBootstrap:
         for l1, l2 in zip(h1.levels[:-1], h2.levels[:-1]):
             assert np.array_equal(l1.p.matrix.values, l2.p.matrix.values)
 
+    def test_coarsest_level_gets_no_smoother(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda m, *args, **kw: calls.append(m.shape[0])
+                            or splu(m, *args, **kw))
+        a, _ = problems.fe_jump_coefficient(62, 1e-6)
+        h, state = bootstrap_setup(a, m0=8, q=4, n0=50, seed=1)
+        assert state.rounds == 0
+        assert calls == h.level_sizes()[:-1]
+        assert len(calls) == 4
+
     def test_accepted_delta_monotone(self):
         a, _ = rescaled_laplacian(8, seed=5, spread=2.5)
         _, state = bootstrap_setup(a, m0=2, q=2, n0=20, delta0=1e-6,

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from amgforge import analysis, coarsening, interpolation, problems, smoothers, sparse
 from amgforge.analysis import (additive_condition, classify_frequencies,
                                error_norm, k_of_vc, optimal_coarse_space,
                                trace_check, two_level_error_norm,
                                two_level_report, weyl_ratio)
+from amgforge.linalg import SymPseudoInverse
 from amgforge.smoothers import GaussSeidel, Jacobi, symmetrize
-from amgforge.strength import full_strength
+from amgforge.strength import StrengthConfig, full_strength, strength_matrix
+from test_interpolation import random_m_matrix
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
 
@@ -139,7 +142,7 @@ class TestTraceCheck:
         assert report.optimal_attains
 
     def test_top_eigenvectors_strictly_larger(self):
-        rbar_m = analysis._rbar_matrix(self.rbar, 30)
+        rbar_m = analysis._frame(self.a, self.rbar).rbar
         _, mu_all = optimal_coarse_space(self.a, rbar_m, 30)
         # top-of-spectrum candidate
         w, v = scipy.linalg.eigh(
@@ -222,3 +225,97 @@ def test_two_level_report_fields():
     assert rep.n == 10 and rep.n_c == p.n_coarse
     assert 0.0 <= rep.e_norm_sq < 1.0
     assert rep.identity_gap <= 1e-8
+
+
+class TestExactOracle:
+    def test_aniso_gallery_identity_to_rounding(self):
+        a = problems.fe_anisotropic(20, 1e-3)
+        s = strength_matrix(a, StrengthConfig())
+        split = coarsening.mis(s)
+        part = coarsening.greedy_aggregate(s)
+        ps = [
+            interpolation.ideal_interpolation(a, split),
+            interpolation.direct_interpolation(a, split, s),
+            interpolation.standard_interpolation(a, split, s),
+            interpolation.ua_prolongation(part),
+            interpolation.sa_prolongation(interpolation.ua_prolongation(part), a),
+            interpolation.energy_min_prolongation(
+                a, interpolation.supports_from_aggregates(part, s)),
+        ]
+        gs = smoothers.make_smoother(a, "gs")
+        line = smoothers.make_smoother(a, "line-gs")
+        pairs = [(gs, p) for p in ps] + [(line, ps[2])]
+        for smoother, p in pairs:
+            rep = two_level_report(a, smoother, p)
+            assert rep.identity_gap <= 1e-12, (p.builder, type(smoother).__name__)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 60), st.integers(0, 2**32 - 1), st.floats(0.05, 0.4),
+           st.sampled_from(["gs", "jacobi"]), st.sampled_from(["direct", "standard"]))
+    def test_identity_on_random_m_matrices(self, n, seed, density, kind, builder):
+        a = random_m_matrix(n, seed, density)
+        s = strength_matrix(a, StrengthConfig("classical_sym", 0.25))
+        split = coarsening.mis(s)
+        build = {"direct": interpolation.direct_interpolation,
+                 "standard": interpolation.standard_interpolation}[builder]
+        p = build(a, split, s)
+        smoother = GaussSeidel(a) if kind == "gs" else Jacobi(a, 0.5)
+        e2 = two_level_error_norm(a, smoother, p) ** 2
+        k = k_of_vc(a, symmetrize(smoother), p)
+        assert abs(e2 - (1.0 - 1.0 / k)) <= 1e-10
+
+    def test_singular_a_needs_its_kernel(self):
+        a = problems.laplace_1d(6, "neumann")
+        with pytest.raises(ValueError, match="singular.*kernel"):
+            error_norm(a, lambda v: 0.5 * v)
+        assert error_norm(a, lambda v: 0.5 * v, kernel=np.ones(6)) == pytest.approx(0.5)
+
+    def test_sparse_coarse_solve_beyond_cap(self):
+        a = problems.fd_poisson_5pt(46)
+        assert a.n_rows > analysis.DENSE_CAP
+        s = full_strength(a)
+        p = interpolation.direct_interpolation(a, coarsening.mis(s), s)
+        gs = GaussSeidel(a)
+        e_act, e_act_t = analysis.two_level_error_action(a, gs, p)
+        pm, amat = p.matrix.mat, a.mat
+        coarse = SymPseudoInverse((pm.T @ amat @ pm).toarray())
+
+        def ref(v):
+            w = v - pm @ coarse.solve(pm.T @ (amat @ v))
+            return w - gs.action(amat @ w)
+
+        def ref_t(v):
+            w = v - amat @ gs.adjoint().action(v)
+            return w - amat @ (pm @ coarse.solve(pm.T @ w))
+
+        rng = np.random.default_rng(12)
+        for v in rng.standard_normal((3, a.n_rows)):
+            for got, want in ((e_act(v), ref(v)), (e_act_t(v), ref_t(v))):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_coarse_matrix_beyond_cap_named(self):
+        a = problems.fd_poisson_5pt(46)
+        p = np.zeros((a.n_rows, 2))
+        p[0, 0] = 1.0  # the second column is zero, so P^T A P is singular
+        with pytest.raises(ValueError, match="coarse matrix"):
+            analysis.two_level_error_action(a, GaussSeidel(a), p)
+
+    def test_report_eigendecomposes_rbar_once(self, monkeypatch):
+        a = problems.fe_anisotropic(8, 1e-2)
+        s = full_strength(a)
+        p = interpolation.direct_interpolation(a, coarsening.mis(s), s)
+        gs = GaussSeidel(a)
+        rbar = analysis.materialize(symmetrize(gs).action, a.n_rows)
+        rbar = 0.5 * (rbar + rbar.T)
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            if np.shape(m) == rbar.shape and np.allclose(m, rbar, rtol=0, atol=1e-14):
+                calls.append(1)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        rep = two_level_report(a, gs, p, include_mu=True)
+        assert len(calls) == 1
+        assert rep.identity_gap <= 1e-12

@@ -187,6 +187,13 @@ class TestAnalyze:
 
 
 class TestAdapt:
+    def test_line_gs_on_coarse_level_is_setup_error(self, capsys):
+        code = main(["adapt", "--set", "kind=fd5", "--set", "n=32",
+                     "--set", "smoother=line-gs"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "smoother=line-gs" in err and "no grid lines" in err
+
     def test_delta_history_emitted(self, capsys):
         code = main(["adapt", "--set", "kind=fd5", "--set", "n=8",
                      "--set", "m0=4", "--set", "n0=20", "--csv"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -217,6 +218,31 @@ class TestOneTriangularFactor:
         line.action(g)
         line.adjoint().action(g)
         assert matvecs == []
+
+
+class TestBlockActions:
+    @pytest.mark.parametrize("name", ["jacobi", "gs", "sgs", "line-gs",
+                                      "subspace", "block-gs"])
+    def test_block_action_is_column_by_column(self, name):
+        n = 5
+        a = problems.fe_anisotropic(n, 1e-2)
+        d = np.random.default_rng(3).uniform(0.5, 2.0, n * n)
+        a = sparse.from_scipy(sps.diags(d) @ a.mat @ sps.diags(d))
+        build = {
+            "subspace": lambda: SubspaceCorrection(
+                a, [np.arange(k, min(k + 4, n * n)) for k in range(0, n * n, 3)]),
+            "block-gs": lambda: BlockGaussSeidel(
+                a, np.array_split(np.arange(n * n), 7)),
+        }
+        s = build[name]() if name in build else make_smoother(a, name)
+        rng = np.random.default_rng(4)
+        for k in (3, n * n):
+            x = rng.standard_normal((n * n, k))
+            for act in (s.action, s.adjoint().action):
+                want = np.column_stack([act(x[:, j]) for j in range(k)])
+                got = act(x)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestLineSmoothing:
