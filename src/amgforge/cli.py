@@ -301,9 +301,12 @@ def main(argv=None):
     try:
         return args.func(args)
     except (hierarchy.SetupError, interpolation.InterpolationError) as exc:
-        # InterpolationError is a ValueError, so it must be caught first
-        print(f"error: setup failed: {exc}; try a different "
-              "--set coarsening=... or --set theta=...", file=sys.stderr)
+        # InterpolationError is a ValueError, so it must be caught first; the
+        # hint names only the knobs that can cure a poor coarse space
+        coarse_space = (hierarchy.StagnationError, interpolation.InterpolationError)
+        hint = ("; try a different --set coarsening=... or --set theta=..."
+                if isinstance(exc, coarse_space) else "")
+        print(f"error: setup failed: {exc}{hint}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (UsageError, io_mm.MatrixMarketError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

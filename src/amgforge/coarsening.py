@@ -2,7 +2,9 @@
 
 All algorithms are sequential and deterministic: the visit order defaults to
 ascending index and every tie breaks toward the lowest index, so results are
-reproducible and permutation-equivariant.
+reproducible and permutation-equivariant.  ``mis`` and ``greedy_aggregate``
+share one root rule: a vertex is a root iff its closed neighborhood is still
+untouched.  The sweeps run over plain lists, with numpy only around them.
 """
 
 from dataclasses import dataclass, field
@@ -55,105 +57,114 @@ class AggregatePartition:
         return np.bincount(self.labels, minlength=self.n_aggregates)
 
 
+def _graph(s):
+    return s.graph if isinstance(s, StrengthMatrix) else s
+
+
+def _root_sweep(g, order):
+    """The root rule: visiting vertices in ``order``, a vertex is a root iff
+    its closed neighborhood is untouched; that neighborhood is then touched.
+    Returns the order and CSR pair of ``g`` as lists, the flags and the roots.
+    """
+    n = g.n_vertices
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+        if (order.shape != (n,) or (n and not 0 <= order.min() <= order.max() < n)
+                or not (np.bincount(order, minlength=n) == 1).all()):
+            raise ValueError("order must be a permutation of the vertices")
+    order = range(n) if order is None else order.tolist()
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    touched = bytearray(n)
+    roots = []
+    for i in order:
+        if touched[i]:
+            continue
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        for j in nbrs:
+            if touched[j]:
+                break
+        else:
+            roots.append(i)
+            touched[i] = 1
+            for j in nbrs:
+                touched[j] = 1
+    return order, indptr, indices, touched, roots
+
+
 def mis(s, order=None):
     """Greedy maximal independent set in the strength graph.
 
-    First sweep: a vertex joins C only when it and its whole neighborhood
-    are untouched (then the closed neighborhood is marked).  Vertices still
-    untouched afterwards are swept again and join C directly, which restores
-    maximality; independence holds throughout.
+    C starts as the roots of the root sweep.  Vertices still untouched
+    afterwards are swept again and join C directly, touching their
+    neighborhood, which restores maximality; independence holds throughout.
     """
-    g = s.graph if isinstance(s, StrengthMatrix) else s
-    n = g.n_vertices
-    order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(n)):
-        raise ValueError("order must be a permutation of the vertices")
-    visited = np.zeros(n, dtype=bool)
-    coarse = np.zeros(n, dtype=bool)
+    g = _graph(s)
+    order, indptr, indices, touched, coarse = _root_sweep(g, order)
     for i in order:
-        if visited[i]:
-            continue
-        nbrs = g.neighbors(i)
-        if not visited[nbrs].any():
-            coarse[i] = True
-            visited[i] = True
-            visited[nbrs] = True
-    for i in order:
-        if not visited[i]:
-            coarse[i] = True
-            visited[i] = True
-            visited[g.neighbors(i)] = True
-    return CFSplitting(coarse)
+        if not touched[i]:
+            coarse.append(i)
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                touched[j] = 1
+    is_coarse = np.zeros(g.n_vertices, dtype=bool)
+    is_coarse[coarse] = True
+    return CFSplitting(is_coarse)
 
 
 def check_mis(s, split):
-    """True iff C is independent and maximal in the strength graph."""
-    g = s.graph if isinstance(s, StrengthMatrix) else s
-    coarse = split.is_coarse
-    for i in split.coarse_indices:
-        if coarse[g.neighbors(i)].any():
-            return False
-    for i in split.fine_indices:
-        if not coarse[g.neighbors(i)].any():
-            return False
-    return True
+    """True iff C is independent and maximal in the strength graph: the
+    adjacency times the coarse indicator is zero exactly on C."""
+    counts = _graph(s).to_scipy() @ split.is_coarse.astype(np.int64)
+    return bool(np.array_equal(counts == 0, split.is_coarse))
 
 
 def greedy_aggregate(s, order=None):
     """Root-plus-neighborhood aggregation with a mop-up attachment pass.
 
-    Pass 1 turns every untouched closed neighborhood into an aggregate.
-    Pass 2 attaches each leftover vertex to the neighboring aggregate of
-    minimal current size (ties to the lowest aggregate id); vertices with no
-    aggregated neighbor become singleton aggregates and are reported.
+    Each root of the root sweep turns its closed neighborhood into an
+    aggregate, numbered in visit order.  A second pass attaches each leftover
+    vertex to the neighboring aggregate of minimal current size (ties to the
+    lowest aggregate id); vertices with no aggregated neighbor become
+    singleton aggregates and are reported.
     """
-    g = s.graph if isinstance(s, StrengthMatrix) else s
-    n = g.n_vertices
-    order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    n_agg = 0
+    g = _graph(s)
+    order, indptr, indices, _, roots = _root_sweep(g, order)
+    labels = [-1] * g.n_vertices
+    for k, r in enumerate(roots):
+        for j in [r, *indices[indptr[r]:indptr[r + 1]]]:
+            labels[j] = k
+    sizes = [1 + indptr[r + 1] - indptr[r] for r in roots]
     for i in order:
-        if labels[i] >= 0:
-            continue
-        nbrs = g.neighbors(i)
-        if (labels[nbrs] < 0).all():
-            labels[i] = n_agg
-            labels[nbrs] = n_agg
-            n_agg += 1
-    sizes = np.bincount(labels[labels >= 0], minlength=n_agg).astype(np.int64)
-    for i in order:
-        if labels[i] >= 0:
-            continue
-        nbr_labels = sorted(set(labels[g.neighbors(i)].tolist()) - {-1})
-        if not nbr_labels:
-            labels[i] = n_agg
-            sizes = np.append(sizes, 1)
-            n_agg += 1
-            continue
-        best = min(nbr_labels, key=lambda k: (sizes[k], k))
-        labels[i] = best
-        sizes[best] += 1
+        if labels[i] < 0:
+            near = {labels[j] for j in indices[indptr[i]:indptr[i + 1]]} - {-1}
+            best = min(near, key=lambda k: (sizes[k], k), default=len(sizes))
+            if best == len(sizes):
+                sizes.append(0)
+            labels[i] = best
+            sizes[best] += 1
     isolated = tuple(np.flatnonzero(np.diff(g.indptr) == 0).tolist())
-    return AggregatePartition(labels, n_agg, isolated)
+    return AggregatePartition(np.array(labels, dtype=np.int64), len(sizes), isolated)
 
 
 def _single_pass_matching(a):
     rows, cols, score = _pairwise_values(a, "pair_local_opt")
-    start = np.searchsorted(rows, np.arange(a.n_rows + 1))
-    labels = np.full(a.n_rows, -1, dtype=np.int64)
+    start = np.searchsorted(rows, np.arange(a.n_rows + 1)).tolist()
+    cols, score = cols.tolist(), score.tolist()
+    labels = [-1] * a.n_rows
     n_agg = 0
     for i in range(a.n_rows):
         if labels[i] >= 0:
             continue
         labels[i] = n_agg
-        nbrs, scores = cols[start[i]:start[i + 1]], score[start[i]:start[i + 1]]
-        free = labels[nbrs] < 0
-        if free.any():
-            # neighbors ascend and argmax takes the first maximum, so ties
-            # go to the lowest index
-            labels[nbrs[free][np.argmax(scores[free])]] = n_agg
+        # np.argmax over the free neighbors, which ascend: the first maximum
+        # wins, so ties go to the lowest index, and the first NaN is a maximum
+        best, top = -1, 0.0
+        for j, v in zip(cols[start[i]:start[i + 1]], score[start[i]:start[i + 1]]):
+            if labels[j] < 0 and (best < 0 or v > top or (v != v and top == top)):
+                best, top = j, v
+        if best >= 0:
+            labels[best] = n_agg
         n_agg += 1
-    return AggregatePartition(labels, n_agg)
+    return AggregatePartition(np.array(labels, dtype=np.int64), n_agg)
 
 
 def pairwise_aggregate(a, passes=1):
@@ -183,12 +194,7 @@ def aggressive_coarsen(s, m, l, order=None):
     Keeping the original edges in the union guarantees every fine vertex
     still reaches a coarse vertex inside S itself.
     """
-    if m < 1 or l < 1:
-        raise ValueError("need m >= 1 and l >= 1")
-    if m == 1 and l == 1:
-        return mis(s, order)
-    extended = union(s, strength_power(s, m, l))
-    return mis(extended, order)
+    return mis(union(s, strength_power(s, m, l)), order)
 
 
 @dataclass
@@ -205,8 +211,6 @@ def _f_contraction(a_ff, smoother_factory, seed, steps=10):
     Ten power-iteration steps on E_f = I - B_f A_ff; the reported value is
     the A-norm ratio of the last iterate pair.
     """
-    if a_ff.n_rows == 0:
-        return 0.0
     smoother = smoother_factory(a_ff)
     mat = a_ff.mat
     rng = np.random.default_rng(seed)
@@ -271,23 +275,18 @@ def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, theta_cr=0.5,
 
 def aggregates_from_cf(split, s):
     """Aggregates grown from C points: each F vertex joins its nearest C point."""
-    g = s.graph if isinstance(s, StrengthMatrix) else s
+    g = _graph(s)
     coarse = split.coarse_indices
     labels = np.full(split.n, -1, dtype=np.int64)
     labels[coarse] = np.arange(coarse.size)
-    frontier = list(coarse)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if labels[w] < 0:
-                    labels[w] = labels[v]
-                    nxt.append(int(w))
-        frontier = nxt
+    queue = coarse.tolist()
+    for v in queue:  # breadth-first: the queue grows while it is read
+        for w in g.neighbors(v).tolist():
+            if labels[w] < 0:
+                labels[w] = labels[v]
+                queue.append(w)
     # vertices unreachable in S become singletons
     isolated = np.flatnonzero(labels < 0)
-    n_agg = coarse.size
-    for v in isolated:
-        labels[v] = n_agg
-        n_agg += 1
-    return AggregatePartition(labels, n_agg, tuple(int(v) for v in isolated))
+    labels[isolated] = coarse.size + np.arange(isolated.size)
+    return AggregatePartition(labels, coarse.size + isolated.size,
+                              tuple(isolated.tolist()))

@@ -20,6 +20,10 @@ class SetupError(RuntimeError):
     pass
 
 
+class StagnationError(SetupError):
+    """Coarsening kept at least 95% of a level's unknowns."""
+
+
 class IndefinitePreconditionerError(RuntimeError):
     pass
 
@@ -199,7 +203,7 @@ def setup(a, config=None):
                 "have no grid lines; use another smoother or max_levels=2")
         p, s, coarse_obj = _coarsen_once(current, config)
         if p.n_coarse >= 0.95 * current.n_rows:
-            raise SetupError(
+            raise StagnationError(
                 f"coarsening stagnated at level {len(levels)}: "
                 f"{current.n_rows} -> {p.n_coarse} unknowns")
         pre = make_smoother(current, config.smoother, config.omega, config.direction)

@@ -119,6 +119,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == EXIT_NONCONVERGENCE
         assert "smoother=line-gs" in err and "no grid lines" in err
+        assert "coarsening=" not in err and "theta" not in err
 
     def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "nan.mtx"
@@ -193,6 +194,7 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert code == EXIT_NONCONVERGENCE
         assert "smoother=line-gs" in err and "no grid lines" in err
+        assert "coarsening=" not in err and "theta" not in err
 
     def test_delta_history_emitted(self, capsys):
         code = main(["adapt", "--set", "kind=fd5", "--set", "n=8",

@@ -1,4 +1,9 @@
+from pathlib import Path
+
 import numpy as np
+import pytest
+import scipy.sparse as sps
+from hypothesis import given, settings, strategies as st
 
 from amgforge import coarsening, problems, smoothers, sparse, strength
 from amgforge.coarsening import (CFSplitting,
@@ -72,6 +77,37 @@ class TestGreedyAggregate:
             sparse.SYMMETRIC)
         part = greedy_aggregate(full_strength(a))
         assert part.isolated == (2,) and type(part.isolated[0]) is int
+
+
+@pytest.mark.parametrize("sweep", [mis, greedy_aggregate])
+@pytest.mark.parametrize("order", [[0, 1, 2], [0] * 16, list(range(1, 17)),
+                                   list(range(-1, 15))])
+def test_order_must_be_a_permutation(sweep, order):
+    s = strength_matrix(problems.fd_poisson_5pt(4))
+    with pytest.raises(ValueError, match="permutation"):
+        sweep(s, order=order)
+
+
+def random_graph(n, seed, density):
+    pattern = sps.random(n, n, density, random_state=seed, format="csr")
+    return sparse.graph_from_scipy(pattern)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3),
+       st.booleans())
+def test_sweeps_on_random_graphs(n, seed, density, permuted):
+    g = random_graph(n, seed, density)
+    order = np.random.default_rng(seed).permutation(n) if permuted else None
+    split = mis(g, order)
+    assert check_mis(g, split)
+    # any single flip breaks independence or maximality
+    flipped = split.is_coarse.copy()
+    flipped[seed % n] = not flipped[seed % n]
+    assert not check_mis(g, CFSplitting(flipped))
+    part = greedy_aggregate(g, order)
+    assert (part.labels >= 0).all()
+    assert np.array_equal(np.unique(part.labels), np.arange(part.n_aggregates))
 
 
 def _connected_in(s, members):
@@ -189,3 +225,38 @@ def test_aggregates_from_cf_covers():
     part = aggregates_from_cf(split, s)
     assert part.n_aggregates == split.n_coarse
     assert (part.labels >= 0).all()
+
+
+GOLDEN_CASES = {
+    "fd5_64": lambda: problems.fd_poisson_5pt(64),
+    "fe_aniso_32": lambda: problems.fe_anisotropic(32, 1e-3),
+    "fe_jump_32": lambda: problems.fe_jump_coefficient(32, 1e-6)[0],
+}
+
+# Labels ("<case>/<sweep>") of every GOLDEN_CASES sweep, written by the
+# per-vertex numpy sweeps that preceded the list-based ones (commit 258850f)
+# with np.savez_compressed(GOLDEN, **golden_entries(case) for every case).
+GOLDEN = Path(__file__).parent / "data" / "coarsening_reference.npz"
+
+
+def golden_entries(case):
+    a = GOLDEN_CASES[case]()
+    s = strength_matrix(a)
+    order = np.random.default_rng(41).permutation(a.n_rows)
+    return {
+        f"{case}/mis": mis(s).is_coarse,
+        f"{case}/mis_order": mis(s, order).is_coarse,
+        f"{case}/aggregate": greedy_aggregate(s).labels,
+        f"{case}/aggregate_order": greedy_aggregate(s, order).labels,
+        f"{case}/pairwise_1": pairwise_aggregate(a, passes=1).labels,
+        f"{case}/pairwise_2": pairwise_aggregate(a, passes=2).labels,
+        f"{case}/aggressive_2_2": aggressive_coarsen(s, 2, 2).is_coarse,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_sweeps_match_golden(case):
+    with np.load(GOLDEN) as ref:
+        for key, got in golden_entries(case).items():
+            assert ref[key].dtype == got.dtype, key
+            assert np.array_equal(ref[key], got), key
