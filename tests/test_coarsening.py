@@ -233,9 +233,9 @@ GOLDEN_CASES = {
     "fe_jump_32": lambda: problems.fe_jump_coefficient(32, 1e-6)[0],
 }
 
-# Labels ("<case>/<sweep>") of every GOLDEN_CASES sweep, written by the
-# per-vertex numpy sweeps that preceded the list-based ones (commit 258850f)
-# with np.savez_compressed(GOLDEN, **golden_entries(case) for every case).
+# Labels ("<case>/<sweep>") of every GOLDEN_CASES sweep: np.savez_compressed
+# of the merged golden_entries(case) of all cases, run against the per-vertex
+# numpy sweeps that preceded the list-based ones (commit 258850f).
 GOLDEN = Path(__file__).parent / "data" / "coarsening_reference.npz"
 
 
