@@ -101,14 +101,6 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     return interpolation.Prolongation(sparse.from_scipy(mat), builder)
 
 
-def _relax_block(a, smoother, psi, sweeps):
-    out = psi.copy()
-    zero = np.zeros(a.n_rows)
-    for k in range(out.shape[1]):
-        out[:, k] = smoother.apply(zero, out[:, k], sweeps=sweeps)
-    return out
-
-
 def _block_delta(a, before, after):
     """max_i ||after_i||_A / ||before_i||_A (the q-sweep contraction)."""
     num = np.einsum("ij,ij->j", after, (a.mat @ after))
@@ -119,13 +111,8 @@ def _block_delta(a, before, after):
 
 def _restrict_bamg(part, psi):
     """Coarse dof evaluations: aggregate averages of each test vector."""
-    n_agg = part.n_aggregates
-    out = np.zeros((n_agg, psi.shape[1]))
-    counts = np.bincount(part.labels, minlength=n_agg).astype(float)
-    for j in range(psi.shape[1]):
-        sums = np.bincount(part.labels, weights=psi[:, j], minlength=n_agg)
-        out[:, j] = sums / counts
-    return out
+    counts = np.bincount(part.labels, minlength=part.n_aggregates)
+    return (interpolation.ua_prolongation(part).matrix.mat.T @ psi) / counts[:, None]
 
 
 def _restrict_asa(part, psi):
@@ -173,7 +160,7 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
                 f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
                 "have no grid lines; use another smoother")
         smoother = make_smoother(current, smoother_kind)
-        relaxed = _relax_block(current, smoother, cur_psi, q)
+        relaxed = smoother.apply(np.zeros_like(cur_psi), cur_psi, q)
         delta = _block_delta(current, cur_psi, relaxed)
         vectors[-1].history.append(delta)
         cur_psi = relaxed
@@ -181,7 +168,7 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
         # stop test on the post-transient factor: one extra sweep on the
         # already-relaxed block, so random-start transients cannot end the
         # descent prematurely
-        probe = _relax_block(current, smoother, relaxed, 1)
+        probe = smoother.apply(np.zeros_like(relaxed), relaxed, 1)
         if _block_delta(current, relaxed, probe) <= delta0:
             levels.append(hmod.Level(current))
             break
@@ -205,12 +192,9 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
 
 def _cycle_delta(a, h, psi, q):
     """Contraction of q V-cycle error propagations over the test block."""
-    after = psi.copy()
-    for k in range(after.shape[1]):
-        v = after[:, k]
-        for _ in range(q):
-            v = v - hmod.vcycle_apply(h, a.mat @ v)
-        after[:, k] = v
+    after = psi
+    for _ in range(q):
+        after = after - hmod.vcycle_apply(h, a.mat @ after)
     return _block_delta(a, psi, after), after
 
 

@@ -20,14 +20,20 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import SymPseudoInverse
+from .linalg import DENSE_CAP, SymPseudoInverse
 from .smoothers import Smoother, symmetrize
-
-DENSE_CAP = 2000
 
 
 def materialize(action, n):
-    return np.column_stack([action(e) for e in np.eye(n)])
+    """The n x n matrix of a linear action, from one call on the identity.
+
+    Every action here maps an (n, k) block to an (n, k) block, column for
+    column; one that does not is refused."""
+    m = np.asarray(action(np.eye(n)), dtype=float)
+    if m.shape != (n, n):
+        raise ValueError(f"action is not block-safe: it maps the {n} x {n} "
+                         f"identity to shape {m.shape}")
+    return m
 
 
 def _columns(kernel):
@@ -93,11 +99,12 @@ def _frame(a, rbar, kernel=None):
                   kernel, _complement(kernel))
 
 
-def error_norm(a, e_action, e_action_t=None, kernel=None, dense_cap=DENSE_CAP,
-               steps=500, tol=1e-12, seed=0, block=4):
+def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12,
+               seed=0, block=4):
     """A-norm of an error propagator E, on the complement of A's kernel.
 
-    For n <= dense_cap the value is exact: E is materialized and the result
+    ``e_action`` and ``e_action_t`` map an (n, k) block to an (n, k) block.
+    For n <= DENSE_CAP the value is exact: E is materialized and the result
     is the square root of the top eigenvalue of the pencil (E'AE, A) from one
     generalized eigensolve; ``e_action_t``, ``steps``, ``tol``, ``seed`` and
     ``block`` are then unused.  A singular A needs its ``kernel`` there.
@@ -109,7 +116,7 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, dense_cap=DENSE_CAP,
     """
     n = a.n_rows
     kernel = _columns(kernel)
-    if n <= dense_cap:
+    if n <= DENSE_CAP:
         e = materialize(e_action, n)
         u = _complement(kernel)
         if u is not None:
@@ -154,17 +161,16 @@ def _subspace_iteration(a, e_action, e_action_t, steps, tol, seed, block):
         return None
 
     rng = np.random.default_rng(seed)
-    v = orthonormalize(np.column_stack([rng.uniform(-1.0, 1.0, n) for _ in range(b)]))
+    v = orthonormalize(rng.uniform(-1.0, 1.0, (b, n)).T)
     lam = 0.0
     if v is None:
         return 0.0
     for _ in range(steps):
-        ev = np.column_stack([e_action(v[:, k]) for k in range(v.shape[1])])
+        ev = e_action(v)
         # Rayleigh-Ritz estimate on the current A-orthonormal block
         h = ev.T @ (amat @ ev)
         lam_new = float(scipy.linalg.eigh(0.5 * (h + h.T), eigvals_only=True)[-1])
-        w = np.column_stack([solve(e_action_t(amat @ ev[:, k]))
-                             for k in range(ev.shape[1])])
+        w = solve(e_action_t(amat @ ev))
         v_next = orthonormalize(w)
         if v_next is None:
             return lam_new
@@ -176,7 +182,8 @@ def _subspace_iteration(a, e_action, e_action_t, steps, tol, seed, block):
 
 
 def two_level_error_action(a, smoother, p):
-    """Actions of E = (I - RA)(I - Pi_c) and its transpose.
+    """Actions of E = (I - RA)(I - Pi_c) and its transpose, on a vector or
+    an (n, k) block.
 
     Within the dense cap the coarse solve uses the symmetric pseudo-inverse
     of P^T A P, so semidefinite coarse matrices follow the global convention;

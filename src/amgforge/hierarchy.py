@@ -232,7 +232,8 @@ def _vcycle(h, level, g, nu1, nu2):
 
 
 def vcycle_apply(h, g, nu1=1, nu2=1):
-    """One V(nu1, nu2) cycle applied to the residual-like vector g."""
+    """One V(nu1, nu2) cycle applied to the residual-like vector g, or to
+    each column of an (n, k) block g in one pass."""
     return _vcycle(h, 0, np.asarray(g, dtype=float), nu1, nu2)
 
 

@@ -13,8 +13,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .linalg import DENSE_CAP
 from .sparse import SparseMatrix, from_scipy, bfs_distance
-from .smoothers import estimate_rho_dinv_a
+from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
 
 class InterpolationError(ValueError):
@@ -204,11 +205,12 @@ def ua_prolongation(partition, vectors=None):
     return Prolongation(from_scipy(mat), "ua")
 
 
-def sa_prolongation(p_tent, a, nu=1, omega=None, dense_cap=2000):
+def sa_prolongation(p_tent, a, nu=1, omega=None):
     """Prolongation smoothing P_S = (I - omega D^{-1} A)^nu P.
 
     Kernel vectors of A carried by the tentative prolongation survive
-    smoothing exactly.  Default omega is 4/(3 rho(D^{-1}A)).
+    smoothing exactly.  Default omega is 4/(3 rho(D^{-1}A)).  Within
+    ``DENSE_CAP`` rows the column rank is checked.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
@@ -221,9 +223,8 @@ def sa_prolongation(p_tent, a, nu=1, omega=None, dense_cap=2000):
     for _ in range(nu):
         mat = mat - dinv @ (a.mat @ mat)
     out = Prolongation(from_scipy(mat), "sa")
-    if out.n <= dense_cap:
-        if not verify_full_rank(out):
-            raise InterpolationError("smoothing lost column rank; reduce omega")
+    if out.n <= DENSE_CAP and not verify_full_rank(out):
+        raise InterpolationError("smoothing lost column rank; reduce omega")
     return out
 
 
@@ -263,42 +264,32 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
     Minimizes sum_i phi_i' A phi_i subject to sum_i phi_i = constraint and
     supp(phi_i) inside support i.  Columns are phi_i = A_i^{-1} Q_i lambda
     where lambda solves B lambda = constraint with the additive operator
-    B = sum_i I_i A_i^{-1} I_i', solved matrix-free by conjugate gradients.
+    B = sum_i I_i A_i^{-1} I_i' (a ``SubspaceCorrection`` over the supports),
+    solved matrix-free by conjugate gradients.  P is assembled sparse from
+    the local solves.
     """
     n = a.n_rows
     supports.validate(n)
     constraint = np.ones(n) if constraint is None else np.asarray(constraint, dtype=float)
-    factors = []
-    for k, idx in enumerate(supports.supports):
-        idx = np.asarray(idx, dtype=np.int64)
-        local = a.mat[idx][:, idx].toarray()
-        try:
-            factors.append((idx, scipy.linalg.cho_factor(local)))
-        except scipy.linalg.LinAlgError as exc:
-            raise InterpolationError(f"local block for support {k} is singular") from exc
-
-    def b_action(v):
-        out = np.zeros(n)
-        for idx, fac in factors:
-            out[idx] += scipy.linalg.cho_solve(fac, v[idx])
-        return out
+    try:
+        b = SubspaceCorrection(a, supports.supports)
+    except SingularSmootherError as exc:  # subspace k is support k
+        raise InterpolationError(str(exc).replace("subspace", "support")) from exc
 
     from .hierarchy import pcg_solve
 
-    op = spla.LinearOperator((n, n), matvec=b_action, dtype=float)
+    op = spla.LinearOperator((n, n), matvec=b.action, dtype=float)
     lam, report = pcg_solve(op, constraint, tol=cg_tol, max_it=10 * n)
     if not report.converged:
         raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
-    cols = []
-    for idx, fac in factors:
-        phi = np.zeros(n)
-        phi[idx] = scipy.linalg.cho_solve(fac, lam[idx])
-        cols.append(phi)
-    basis = np.column_stack(cols)
-    defect = np.abs(basis.sum(axis=1) - constraint).max()
+    rows, vals = zip(*b.local_solves(lam))
+    cols = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                        shape=(n, len(rows)))
+    defect = np.abs(np.asarray(mat.sum(axis=1)).ravel() - constraint).max()
     if defect > 1e-8 * max(1.0, np.abs(constraint).max()):
         raise CGConvergenceError(f"partition-of-unity defect {defect:.2e}")
-    return Prolongation(from_scipy(sp.csr_matrix(basis)), "energymin")
+    return Prolongation(from_scipy(mat), "energymin")
 
 
 def coarse_elements(supports, n):

@@ -30,14 +30,15 @@ def write_matrix_market(path, a, comment=None):
     else:
         rows, cols, vals = coo.row, coo.col, coo.data
     order = np.lexsort((rows, cols))
+    entries = zip((rows[order] + 1).tolist(), (cols[order] + 1).tolist(),
+                  vals[order].tolist())
     with open(path, "w") as f:
         kind = "symmetric" if symmetric else "general"
         f.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
         if comment:
             f.write(f"%{comment}\n")
         f.write(f"{a.n_rows} {a.n_cols} {len(vals)}\n")
-        for k in order:
-            f.write(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n")
+        f.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in entries]))
 
 
 def write_vector(path, x, comment=None):
@@ -47,8 +48,7 @@ def write_vector(path, x, comment=None):
         if comment:
             f.write(f"%{comment}\n")
         f.write(f"{x.size} 1\n")
-        for v in x:
-            f.write(f"{v:.17g}\n")
+        f.write("".join([f"{v:.17g}\n" for v in x.tolist()]))
 
 
 def _parse_header(line, line_no):

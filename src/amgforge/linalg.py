@@ -1,7 +1,12 @@
-"""Shared dense linear-algebra helpers: pseudo-inverses and power iteration."""
+"""Shared dense linear-algebra helpers: the dense cap, pseudo-inverses and
+power iteration."""
 
 import numpy as np
 import scipy.linalg
+
+# Largest order n of the dense n x n arrays the package forms on its own: the
+# analysis oracles, the SSPD spectrum check and the SA column-rank check.
+DENSE_CAP = 2000
 
 
 class SymPseudoInverse:

@@ -3,9 +3,11 @@
 Every smoother is an immutable object over a fixed matrix A exposing
 
     apply(b, x, sweeps)  -- run stationary sweeps x <- x + B(b - A x)
-    action(g)            -- one application of the iterator, B g; an (n, k)
-                            block g is acted on column by column
+    action(g)            -- one application of the iterator, B g
     adjoint()            -- the smoother whose iterator is B^T
+
+Both apply and action take a vector or an (n, k) block and return the same
+shape; a block gives, column for column, what each column alone gives.
 
 Point and block Gauss-Seidel, B = (D_B/omega + L_B)^{-1}, solve with one
 sparse LU of the block-lower triangle of A; the adjoint solves with its
@@ -66,13 +68,14 @@ class Smoother:
         raise NotImplementedError
 
     def apply(self, b, x=None, sweeps=1):
-        """Iterate x <- x + B(b - A x); sweeps=0 returns x unchanged."""
+        """Iterate x <- x + B(b - A x) on a vector or an (n, k) block b, from
+        x = 0 when x is None; sweeps=0 returns x unchanged."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side has wrong length")
-        x = np.zeros(self.n) if x is None else np.array(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise ValueError("iterate has wrong length")
+        x = np.zeros_like(b) if x is None else np.array(x, dtype=float)
+        if x.shape != b.shape:
+            raise ValueError("iterate and right-hand side differ in shape")
         for _ in range(sweeps):
             x = x + self.action(b - self.a @ x)
         return x
@@ -150,10 +153,15 @@ class SubspaceCorrection(Smoother):
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSmootherError(f"local block for subspace {k} is singular") from exc
 
+    def local_solves(self, g):
+        """Yield (I_i, A_i^{-1} I_i' g) for each subspace i in order."""
+        for idx, fac in zip(self.subspaces, self._factors):
+            yield idx, scipy.linalg.cho_solve(fac, g[idx])
+
     def action(self, g):
         out = np.zeros(np.shape(g))
-        for idx, fac in zip(self.subspaces, self._factors):
-            out[idx] += scipy.linalg.cho_solve(fac, g[idx])
+        for idx, y in self.local_solves(g):
+            out[idx] += y
         return out
 
     def adjoint(self):

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .linalg import SymPseudoInverse
+from .linalg import DENSE_CAP, SymPseudoInverse
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -240,11 +240,11 @@ class SspdReport:
     notes: list = field(default_factory=list)
 
 
-def validate_sspd(a, kernel_hint=None, dense_cap=2000, tol=1e-10):
+def validate_sspd(a, kernel_hint=None, tol=1e-10):
     """Report-only SSPD validation (never raises).
 
     Symmetry is checked bit-exactly; the spectrum is examined densely only
-    for n <= dense_cap.  ``kernel_hint`` columns, when given, are tested for
+    for n <= DENSE_CAP.  ``kernel_hint`` columns, when given, are tested for
     membership in the numerical kernel.
     """
     if not a.is_square():
@@ -256,7 +256,7 @@ def validate_sspd(a, kernel_hint=None, dense_cap=2000, tol=1e-10):
     if not dense_sym:
         report.notes.append("symmetry failure: a_ij != a_ji for some stored pair")
         return report
-    if a.n_rows <= dense_cap:
+    if a.n_rows <= DENSE_CAP:
         pinv = SymPseudoInverse(a.toarray())
         w = pinv.eigenvalues
         report.lambda_min = float(w[0])

@@ -125,10 +125,7 @@ def _affinity_values(a, cfg):
     """Relaxed-test-vector affinity on the off-diagonal pattern of A."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(-1.0, 1.0, size=(a.n_rows, cfg.affinity_k))
-    gs = GaussSeidel(a, 1.0)
-    zero = np.zeros(a.n_rows)
-    for k in range(cfg.affinity_k):
-        x[:, k] = gs.apply(zero, x[:, k], sweeps=cfg.affinity_nu)
+    x = GaussSeidel(a, 1.0).apply(np.zeros_like(x), x, sweeps=cfg.affinity_nu)
     coo = a.mat.tocoo()
     off = coo.row != coo.col
     rows, cols = coo.row[off], coo.col[off]

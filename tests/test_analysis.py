@@ -19,7 +19,11 @@ A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
 class TestErrorNorm:
     def test_zero_propagator(self):
         a = problems.laplace_1d(5)
-        assert error_norm(a, lambda v: np.zeros(5)) == 0.0
+        assert error_norm(a, lambda v: np.zeros_like(v)) == 0.0
+
+    def test_materialize_refuses_vector_only_action(self):
+        with pytest.raises(ValueError, match="not block-safe"):
+            analysis.materialize(lambda v: np.zeros(5), 5)
 
     def test_exact_inverse_propagator(self):
         a = problems.laplace_1d(6)

@@ -140,6 +140,18 @@ class TestVCycle:
                 assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(w)
                 assert float(g @ vcycle_apply(h, g)) > 0.0
 
+    @pytest.mark.parametrize("smoother", ["gs", "sgs", "jacobi", "line-gs"])
+    def test_block_cycle_is_column_by_column(self, smoother):
+        a = problems.fe_anisotropic(12, 1e-2)
+        cfg = {"smoother": smoother, "n0": 10}
+        h = two_level_hierarchy(a, cfg) if smoother == "line-gs" else setup(a, cfg)
+        assert h.n_levels >= 2
+        g = np.random.default_rng(3).standard_normal((a.n_rows, 3))
+        got = vcycle_apply(h, g)
+        want = np.column_stack([vcycle_apply(h, g[:, j]) for j in range(3)])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_stationary_iteration_monotone_in_a_norm(self):
         a = problems.fd_poisson_5pt(31)
         h = setup(a, {"interpolation": "standard"})

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,20 @@ class TestEnergyMin:
         supports = SupportSet((np.arange(4),))  # support = whole singular domain
         with pytest.raises(InterpolationError, match="support 0"):
             energy_min_prolongation(a, supports)
+
+    def test_no_dense_basis(self):
+        # a dense n x n_c basis at fd5 64^2 alone is 4096 x 704 doubles (23 MB)
+        a = problems.fd_poisson_5pt(64)
+        s = strength_matrix(a, StrengthConfig())
+        supports = supports_from_aggregates(coarsening.greedy_aggregate(s), s)
+        tracemalloc.start()
+        try:
+            p = energy_min_prolongation(a, supports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.matrix.nnz == 10116
+        assert peak <= 8e6
 
     def test_trace_not_above_ua(self):
         a = problems.fd_poisson_5pt(4)

@@ -70,3 +70,21 @@ def test_deterministic_bytes(tmp_path):
     io_mm.write_matrix_market(p1, a)
     io_mm.write_matrix_market(p2, a)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_pinned_bytes(tmp_path):
+    # texts written by the per-entry writer that the one-pass writer replaced
+    path = tmp_path / "s.mtx"
+    io_mm.write_matrix_market(path, problems.fe_anisotropic(2, 0.5), comment="pinned")
+    assert path.read_text() == (
+        "%%MatrixMarket matrix coordinate real symmetric\n%pinned\n4 4 8\n"
+        "1 1 3\n2 1 -1\n3 1 -0.5\n2 2 3\n4 2 -0.5\n3 3 3\n4 3 -1\n4 4 3\n")
+    g = sparse.csr_from_triplets(2, 3, [(0, 2, 1.5), (1, 0, -2.0), (1, 2, 1 / 3),
+                                        (0, 0, 1e-300)])
+    io_mm.write_matrix_market(path, g)
+    assert path.read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n2 3 4\n"
+        "1 1 1e-300\n2 1 -2\n1 3 1.5\n2 3 0.33333333333333331\n")
+    io_mm.write_vector(path, np.array([1.0, -2.5, 0.1, 1e20]))
+    assert path.read_text() == ("%%MatrixMarket matrix array real general\n4 1\n"
+                                "1\n-2.5\n0.10000000000000001\n1e+20\n")

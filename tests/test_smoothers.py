@@ -244,6 +244,24 @@ class TestBlockActions:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("name", ["jacobi", "gs", "sgs", "line-gs"])
+    def test_block_apply_is_column_by_column(self, name):
+        a = problems.fe_anisotropic(6, 1e-2)
+        s = make_smoother(a, name)
+        rng = np.random.default_rng(5)
+        b, x = rng.standard_normal((2, a.n_rows, 3))
+        for got, want in (
+                (s.apply(b, x, 2),
+                 np.column_stack([s.apply(b[:, j], x[:, j], 2) for j in range(3)])),
+                (s.apply(b, sweeps=2),
+                 np.column_stack([s.apply(b[:, j], sweeps=2) for j in range(3)]))):
+            assert got.shape == (a.n_rows, 3)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_iterate_shape_must_match(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            GaussSeidel(A2).apply(np.zeros(2), np.zeros((2, 3)))
+
 
 class TestLineSmoothing:
     def test_x_line_blocks(self):
