@@ -73,7 +73,7 @@ def test_deterministic_bytes(tmp_path):
 
 
 def test_pinned_bytes(tmp_path):
-    # texts written by the per-entry writer that the one-pass writer replaced
+    # literal expected files: any rewrite of the writers must keep these bytes
     path = tmp_path / "s.mtx"
     io_mm.write_matrix_market(path, problems.fe_anisotropic(2, 0.5), comment="pinned")
     assert path.read_text() == (
