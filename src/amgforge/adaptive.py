@@ -27,15 +27,9 @@ from .smoothers import make_smoother
 
 
 @dataclass
-class TestVectorSet:
-    psi: np.ndarray  # n x m block of test vectors
-    history: list = field(default_factory=list)
-
-
-@dataclass
 class AdaptiveState:
     hierarchy: object
-    test_vectors: list  # TestVectorSet per level, finest first
+    test_vectors: list  # n x m block of test vectors per level, finest first
     aggregates: list  # AggregatePartition per level transition
     delta: float
     delta_history: list = field(default_factory=list)
@@ -43,35 +37,24 @@ class AdaptiveState:
     flags: list = field(default_factory=list)
     smoother: str = "gs"
     q: int = 4
-    seed: int = 0
-
-
-def row_pattern_from_supports(supports, n):
-    """Transpose a per-coarse-dof SupportSet into per-fine-row coarse lists."""
-    rows = [[] for _ in range(n)]
-    for col, idx in enumerate(supports.supports):
-        for v in np.asarray(idx, dtype=np.int64):
-            rows[int(v)].append(col)
-    return [sorted(r) for r in rows]
 
 
 def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
-                        eps_p=0.0, candidate_order=None, builder="ls_fit"):
+                        candidate_order=None, builder="ls_fit"):
     """Row-by-row least-squares fit of P to the test vectors.
 
-    Each fine row solves min ||Psi_c^T p - psi_row|| over its allowed coarse
+    ``pattern[i]`` lists the coarse indices fine row i starts from.  Each
+    fine row solves min ||Psi_c^T p - psi_row|| over its allowed coarse
     indices; while the residual exceeds ``eps_fit`` and the row holds fewer
     than ``s_max`` entries, the pattern grows along ``candidate_order``
-    (nearest coarse dofs first).  Entries of magnitude <= ``eps_p`` are
-    dropped at the end.  Rank-deficient local problems fall back to the
-    minimal-norm solution and are flagged with a warning.
+    (nearest coarse dofs first).  Exact zeros are dropped at the end.
+    Rank-deficient local problems fall back to the minimal-norm solution and
+    are flagged with a warning.
     """
     psi_fine = np.atleast_2d(np.asarray(psi_fine, dtype=float).T).T
     psi_coarse = np.atleast_2d(np.asarray(psi_coarse, dtype=float).T).T
     if psi_fine.shape[1] != psi_coarse.shape[1]:
         raise ValueError("fine and coarse test-vector counts differ")
-    if isinstance(pattern, interpolation.SupportSet):
-        pattern = row_pattern_from_supports(pattern, psi_fine.shape[0])
     n = psi_fine.shape[0]
     n_c = psi_coarse.shape[0]
     deficient = 0
@@ -90,7 +73,7 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
                 break
             allowed.append(extra.pop(0))
         for c, w in zip(allowed, p_row):
-            if abs(w) > eps_p:
+            if abs(w) > 0.0:
                 rows.append(i)
                 cols.append(c)
                 vals.append(w)
@@ -124,15 +107,15 @@ def _restrict_asa(part, psi):
     return out
 
 
-def _aggregate_candidates(part, s, depth=2):
-    """Per vertex, nearby aggregate ids ordered by graph distance."""
+def _aggregate_candidates(part, s):
+    """Per vertex, the aggregate ids within graph distance 2, nearest first."""
     n = part.n
     order = []
     for v in range(n):
         seen = {int(part.labels[v])}
         ordered = [int(part.labels[v])]
         frontier = [v]
-        for _ in range(depth):
+        for _ in range(2):
             nxt = []
             for u in frontier:
                 for w in s.neighbors(u):
@@ -146,13 +129,14 @@ def _aggregate_candidates(part, s, depth=2):
     return order
 
 
-def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
-    """Steps 1-2 of the adaptive loop: build levels and coarse test vectors."""
+def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
+    """Steps 1-2 of the adaptive loop: build at most 25 levels and their
+    test vectors."""
     levels, parts, vectors = [], [], []
     current, cur_psi = a, psi
     while True:
-        vectors.append(TestVectorSet(cur_psi.copy()))
-        if current.n_rows <= n0 or len(levels) >= max_levels - 1:
+        vectors.append(cur_psi.copy())
+        if current.n_rows <= n0 or len(levels) >= 24:
             levels.append(hmod.Level(current))
             break
         if levels and smoother_kind == "line-gs":
@@ -160,16 +144,12 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta, max_levels=25):
                 f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
                 "have no grid lines; use another smoother")
         smoother = make_smoother(current, smoother_kind)
-        relaxed = smoother.apply(np.zeros_like(cur_psi), cur_psi, q)
-        delta = _block_delta(current, cur_psi, relaxed)
-        vectors[-1].history.append(delta)
-        cur_psi = relaxed
-        vectors[-1].psi = relaxed.copy()
+        cur_psi = vectors[-1] = smoother.apply(np.zeros_like(cur_psi), cur_psi, q)
         # stop test on the post-transient factor: one extra sweep on the
         # already-relaxed block, so random-start transients cannot end the
         # descent prematurely
-        probe = smoother.apply(np.zeros_like(relaxed), relaxed, 1)
-        if _block_delta(current, relaxed, probe) <= delta0:
+        probe = smoother.apply(np.zeros_like(cur_psi), cur_psi, 1)
+        if _block_delta(current, cur_psi, probe) <= delta0:
             levels.append(hmod.Level(current))
             break
         s = strength.strength_matrix(current, strength.StrengthConfig(theta=theta))
@@ -216,12 +196,10 @@ def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
     psi = rng.uniform(-1.0, 1.0, size=(a.n_rows, m0))
     h, vectors, parts = _descend(a, psi, smoother, q, n0, delta0, theta)
     if h.n_levels == 1:
-        state = AdaptiveState(h, vectors, parts, 0.0, [0.0],
-                              smoother=smoother, q=q, seed=seed)
+        state = AdaptiveState(h, vectors, parts, 0.0, [0.0], smoother=smoother, q=q)
         return h, state
-    delta, relaxed = _cycle_delta(a, h, vectors[0].psi, q)
-    state = AdaptiveState(h, vectors, parts, delta, [delta],
-                          smoother=smoother, q=q, seed=seed)
+    delta, relaxed = _cycle_delta(a, h, vectors[0], q)
+    state = AdaptiveState(h, vectors, parts, delta, [delta], smoother=smoother, q=q)
     for round_no in range(1, max_rounds + 1):
         if state.delta <= delta0:
             break
@@ -229,7 +207,7 @@ def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
         enriched = np.column_stack([relaxed, phi[:, 0]])
         cand_h, cand_vecs, cand_parts = _descend(
             a, enriched, smoother, q, n0, delta0, theta)
-        cand_delta, cand_relaxed = _cycle_delta(a, cand_h, cand_vecs[0].psi, q)
+        cand_delta, cand_relaxed = _cycle_delta(a, cand_h, cand_vecs[0], q)
         state.rounds = round_no
         if cand_delta <= state.delta:
             state.hierarchy = cand_h
@@ -244,12 +222,12 @@ def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
     return state.hierarchy, state
 
 
-def mge_eigensolve(h, l_e, relax_sweeps=2, omega=0.5):
+def mge_eigensolve(h, l_e, relax_sweeps=2):
     """Multigrid eigensolver: coarsest dense solve, then lift and refine.
 
     Level mass matrices are Gram matrices of the composite prolongations.
     Ascending one level: lift with P, keep the previous eigenvalue as shift,
-    relax on (A - shift M) w = 0 with damped Jacobi, then update the
+    relax on (A - shift M) w = 0 with Jacobi damped by 0.5, then update the
     Rayleigh quotient (A phi, phi) / (M phi, phi).
     """
     if h.n_levels < 1:
@@ -279,7 +257,7 @@ def mge_eigensolve(h, l_e, relax_sweeps=2, omega=0.5):
             c_diag = a_l.diagonal() - shift * m_l.diagonal()
             c_diag = np.where(np.abs(c_diag) > 1e-12, c_diag, 1.0)
             for _ in range(relax_sweeps):
-                v = v - omega * (a_l @ v - shift * (m_l @ v)) / c_diag
+                v = v - 0.5 * (a_l @ v - shift * (m_l @ v)) / c_diag
                 # deflate the already-updated lower pairs in the M inner
                 # product, else every vector drifts to the lowest mode
                 for kk in range(k):
@@ -295,18 +273,18 @@ def mge_eigensolve(h, l_e, relax_sweeps=2, omega=0.5):
 def _asa_hierarchy(a, partitions, psi, smoother):
     """aSA levels over fixed aggregates: each P holds the level's test
     vectors restricted to each aggregate, and the next level's test vectors
-    are their block coordinates.  Returns (hierarchy, TestVectorSet per level).
+    are their block coordinates.  Returns (hierarchy, test vectors per level).
     """
     levels, vectors = [], []
     current, cur_psi = a, psi
     for part in partitions:
-        vectors.append(TestVectorSet(cur_psi.copy()))
+        vectors.append(cur_psi.copy())
         p = interpolation.ua_prolongation(part, cur_psi)
         levels.append(hmod.Level(current, p, make_smoother(current, smoother),
                                  coarsening=part))
         current = sparse.galerkin_product(p.matrix, current)
         cur_psi = _restrict_asa(part, cur_psi)
-    vectors.append(TestVectorSet(cur_psi.copy()))
+    vectors.append(cur_psi.copy())
     levels.append(hmod.Level(current))
     return hmod.Hierarchy.from_levels(levels), vectors
 
@@ -327,7 +305,7 @@ def asa_add_vector(state, psi):
                          f"got {len(state.aggregates)} partitions")
     a = levels[0].a
     psi = np.asarray(psi, dtype=float)
-    psi_block = np.column_stack([state.test_vectors[0].psi, psi])
+    psi_block = np.column_stack([state.test_vectors[0], psi])
     m = psi_block.shape[1]
     part = state.aggregates[0]
     for agg in range(part.n_aggregates):
@@ -342,10 +320,10 @@ def asa_add_vector(state, psi):
                    flags=list(state.flags))
 
 
-def asa_initial_state(a, partitions, psi0, smoother="gs", q=4, seed=0):
+def asa_initial_state(a, partitions, psi0, smoother="gs", q=4):
     """Seed an aggregation-based adaptive state from fixed per-level aggregates."""
     psi0 = np.atleast_2d(np.asarray(psi0, dtype=float).T).T
     h, vectors = _asa_hierarchy(a, partitions, psi0, smoother)
     delta, _ = _cycle_delta(a, h, psi0, q)
     return AdaptiveState(h, vectors, list(partitions), delta, [delta],
-                         smoother=smoother, q=q, seed=seed)
+                         smoother=smoother, q=q)

@@ -7,9 +7,13 @@ smoother/prolongation pair produced by the rest of the package.
 
 Within ``DENSE_CAP`` unknowns the error norm is exact: the top eigenvalue of
 the pencil (E'AE, A) of the materialized propagator.  The Rbar-norm oracles
-share one dense frame (A, Rbar, Rbar^{-1}, Rbar^{1/2} and the kernel
-complement) built from a single eigendecomposition of Rbar.  Beyond the cap
-only the error norm is available, by subspace iteration with sparse LU solves.
+share one dense frame: A, Rbar^{-1} (from a single eigendecomposition of
+Rbar) and the kernel complement.  The optimal coarse space is the low end of
+the pencil (A, Rbar^{-1}), and K(V_c) the top of the pencil
+(Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may be a
+``Prolongation``, a ``SparseMatrix`` or an array.
+Beyond the cap only the error norm is available, by subspace iteration with
+sparse LU solves.
 """
 
 import warnings
@@ -22,6 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .linalg import DENSE_CAP, SymPseudoInverse
 from .smoothers import Smoother, symmetrize
+from .sparse import SparseMatrix
 
 
 def materialize(action, n):
@@ -56,6 +61,15 @@ def _restrict(mat, u):
     return mat if u is None else u.T @ mat @ u
 
 
+def _p_matrix(p):
+    """P, given as a Prolongation, a SparseMatrix or an array, as a scipy
+    sparse matrix."""
+    p = getattr(p, "matrix", p)
+    if isinstance(p, SparseMatrix):
+        return p.mat
+    return sp.csr_matrix(np.asarray(p, dtype=float))
+
+
 def _top_eigenvalue(m, b):
     """Largest eigenvalue of the symmetric pencil (m, b), b positive definite."""
     k = m.shape[0]
@@ -65,12 +79,10 @@ def _top_eigenvalue(m, b):
 
 @dataclass
 class _Frame:
-    """Dense A and Rbar with the factors every Rbar-norm oracle shares."""
+    """Dense A and Rbar^{-1}, the factor every Rbar-norm oracle shares."""
 
     a: np.ndarray  # dense A
-    rbar: np.ndarray  # symmetric part of Rbar
     rinv: np.ndarray  # Rbar^{-1}
-    sqrt_r: np.ndarray  # Rbar^{1/2}
     kernel: np.ndarray = None  # kernel columns of A, if singular
     complement: np.ndarray = None  # orthonormal basis of the kernel complement
 
@@ -91,12 +103,10 @@ def _frame(a, rbar, kernel=None):
     rbar = np.asarray(rbar, dtype=float)
     if rbar.shape != (n, n):
         raise ValueError("Rbar has the wrong shape")
-    rbar = 0.5 * (rbar + rbar.T)
-    w, v = scipy.linalg.eigh(rbar)
+    w, v = scipy.linalg.eigh(0.5 * (rbar + rbar.T))
     if w[0] <= 0.0:
         raise ValueError("Rbar must be SPD (smoother not A-convergent)")
-    return _Frame(a.toarray(), rbar, (v / w) @ v.T, (v * np.sqrt(w)) @ v.T,
-                  kernel, _complement(kernel))
+    return _Frame(a.toarray(), (v / w) @ v.T, kernel, _complement(kernel))
 
 
 def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12,
@@ -189,8 +199,7 @@ def two_level_error_action(a, smoother, p):
     of P^T A P, so semidefinite coarse matrices follow the global convention;
     beyond it, a sparse LU of P^T A P, which must be nonsingular.
     """
-    pm = p.matrix if hasattr(p, "matrix") else p
-    pmat = pm if isinstance(pm, np.ndarray) else pm.mat
+    pmat = _p_matrix(p)
     a_c = pmat.T @ (a.mat @ pmat)
     if a.n_rows > DENSE_CAP:
         try:
@@ -199,7 +208,7 @@ def two_level_error_action(a, smoother, p):
         except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
             raise ValueError(f"coarse matrix P^T A P is singular: {exc}") from exc
     else:
-        a_c = a_c if isinstance(a_c, np.ndarray) else a_c.toarray()
+        a_c = a_c.toarray()
         coarse_solve = SymPseudoInverse(0.5 * (a_c + a_c.T)).solve
     pmat_t = pmat.T
     amat = a.mat
@@ -227,24 +236,20 @@ def k_of_vc(a, rbar, p, kernel=None):
 
     Computed densely as the largest eigenvalue of the pencil
     (I-Q_c)' Rbar^{-1} (I-Q_c) v = lambda A v, with Q_c the
-    Rbar^{-1}-orthogonal projection onto range(P).  ``rbar`` is a smoother,
-    a dense array or a frame; a frame built with a kernel brings it along.
+    Rbar^{-1}-orthogonal projection onto range(P).  That matrix is the Schur
+    form Rbar^{-1} - X (P'X)^{-1} X' with X = Rbar^{-1} P, so no n x n
+    projector is formed.  ``rbar`` is a smoother, a dense array or a frame;
+    a frame built with a kernel brings it along.
     """
-    n = a.n_rows
-    if n > DENSE_CAP:
-        raise ValueError("K(V_c) is a dense oracle; n exceeds the cap")
     f = _frame(a, rbar, kernel)
-    rinv = f.rinv
-    pm = p.matrix.toarray() if hasattr(p, "matrix") else np.asarray(p, dtype=float)
+    pm = _p_matrix(p).toarray()
     if f.kernel is not None:
         coef, *_ = np.linalg.lstsq(pm, f.kernel, rcond=None)
         defect = np.linalg.norm(pm @ coef - f.kernel)
         if defect > 1e-8 * max(1.0, np.linalg.norm(f.kernel)):
             raise ValueError("kernel of A is not contained in range(P)")
-    gram = pm.T @ rinv @ pm
-    q_c = pm @ np.linalg.solve(gram, pm.T @ rinv)
-    resid_op = np.eye(n) - q_c
-    m = resid_op.T @ rinv @ resid_op
+    x = f.rinv @ pm
+    m = f.rinv - x @ np.linalg.solve(pm.T @ x, x.T)
     u = f.complement
     # K >= 1 whenever range(P) is a proper subspace; the degenerate
     # full-space case (Q_c = identity) has rate 0, i.e. K = 1
@@ -254,18 +259,14 @@ def k_of_vc(a, rbar, p, kernel=None):
 def optimal_coarse_space(a, rbar, n_c):
     """Low-end eigenvector coarse space of Rbar A and its full spectrum.
 
-    Returns (P_opt, mu): columns are Rbar^{-1}-orthonormal eigenvectors for
-    the n_c smallest eigenvalues; the exact two-level rate with this space
-    is 1 - mu_{n_c+1}.  ``rbar`` is a smoother, a dense array or a frame.
+    Returns (P_opt, mu) from the pencil A z = mu Rbar^{-1} z: columns are
+    Rbar^{-1}-orthonormal eigenvectors for the n_c smallest eigenvalues; the
+    exact two-level rate with this space is 1 - mu_{n_c+1}.  ``rbar`` is a
+    smoother, a dense array or a frame.
     """
-    n = a.n_rows
-    if n > DENSE_CAP:
-        raise ValueError("optimal coarse space is a dense oracle; n exceeds the cap")
     f = _frame(a, rbar)
-    c = f.sqrt_r @ f.a @ f.sqrt_r
-    mu, y = scipy.linalg.eigh(0.5 * (c + c.T))
-    zeta = f.sqrt_r @ y
-    return zeta[:, :n_c], mu
+    mu, z = scipy.linalg.eigh(f.a, f.rinv)
+    return z[:, :n_c], mu
 
 
 @dataclass
@@ -367,7 +368,7 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
     e_sq = two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
     k = k_of_vc(a, frame, p)
     builder = getattr(p, "builder", "custom")
-    n_c = p.matrix.n_cols if hasattr(p, "matrix") else np.asarray(p).shape[1]
+    n_c = _p_matrix(p).shape[1]
     mu = optimal_coarse_space(a, frame, n_c)[1] if include_mu else None
     return TwoLevelReport(builder, a.n_rows, n_c, float(e_sq), float(k), mu)
 
@@ -379,10 +380,10 @@ def additive_condition(a, p, kernel=None):
     if n > DENSE_CAP:
         raise ValueError("dense oracle; n exceeds the cap")
     a_dense = a.toarray()
-    pm = p.matrix.toarray() if hasattr(p, "matrix") else np.asarray(p, dtype=float)
+    pm = _p_matrix(p).toarray()
     a_c = pm.T @ a_dense @ pm
     coarse = SymPseudoInverse(0.5 * (a_c + a_c.T))
-    b_hat = pm @ coarse.matrix() @ pm.T + np.diag(1.0 / a.diagonal())
+    b_hat = pm @ coarse.solve(pm.T) + np.diag(1.0 / a.diagonal())
     u = _complement(_columns(kernel))
     m = _restrict(a_dense @ b_hat @ a_dense, u)
     lam = scipy.linalg.eigh(0.5 * (m + m.T), _restrict(a_dense, u), eigvals_only=True)

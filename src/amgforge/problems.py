@@ -25,7 +25,6 @@ class ProblemSpec:
     n: int
     epsilon: float = 1.0
     bc: str = DIRICHLET
-    jump_pattern: object = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -234,8 +233,7 @@ def build(spec: ProblemSpec):
     if spec.kind == "fe_aniso":
         return fe_anisotropic(spec.n, spec.epsilon, spec.bc)
     if spec.kind == "fe_jump":
-        pattern = spec.jump_pattern or checkerboard
-        return fe_jump_coefficient(spec.n, spec.epsilon, pattern)[0]
+        return fe_jump_coefficient(spec.n, spec.epsilon)[0]
     if spec.kind == "graph_laplacian":
         return laplace_1d(spec.n, NEUMANN)
     raise ValueError(f"unknown problem kind {spec.kind!r}")

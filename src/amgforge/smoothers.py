@@ -22,8 +22,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import power_iteration
-
 
 class SingularSmootherError(ValueError):
     pass
@@ -208,14 +206,26 @@ def symmetrize(smoother):
     return SymmetrizedSmoother(smoother)
 
 
-def estimate_rho_dinv_a(a, steps=200, tol=1e-10, seed=0):
-    """Spectral radius of D^{-1}A by power iteration in the D-inner product."""
-    dinv = 1.0 / _check_diagonal(a)
-    d = a.diagonal()
-    lam, _ = power_iteration(
-        lambda v: dinv * (a @ v), a.n_rows, steps=steps, tol=tol, seed=seed,
-        m_inner=lambda u, w: float(u @ (d * w)),
-    )
+def estimate_rho_dinv_a(a, steps=200):
+    """Spectral radius of D^{-1}A by power iteration in the D-inner product.
+
+    Starts from a uniform random vector of seed 0 and stops early once the
+    Rayleigh quotient changes by less than 1e-10 relatively."""
+    d = _check_diagonal(a)
+    dinv = 1.0 / d
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, size=a.n_rows)
+    v /= np.sqrt(float(v @ (d * v)))
+    lam = 0.0
+    for _ in range(steps):
+        w = dinv * (a @ v)
+        lam_new = float(w @ (d * v))
+        nrm = np.sqrt(max(float(w @ (d * w)), 0.0))
+        if nrm == 0.0:
+            return 1e-300
+        v = w / nrm
+        if abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1e-300):
+            return max(lam_new, 1e-300)
+        lam = lam_new
     return max(lam, 1e-300)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -146,7 +148,8 @@ class TestTraceCheck:
         assert report.optimal_attains
 
     def test_top_eigenvectors_strictly_larger(self):
-        rbar_m = analysis._frame(self.a, self.rbar).rbar
+        rbar_m = analysis.materialize(self.rbar.action, 30)
+        rbar_m = 0.5 * (rbar_m + rbar_m.T)
         _, mu_all = optimal_coarse_space(self.a, rbar_m, 30)
         # top-of-spectrum candidate
         w, v = scipy.linalg.eigh(
@@ -267,6 +270,12 @@ class TestExactOracle:
         e2 = two_level_error_norm(a, smoother, p) ** 2
         k = k_of_vc(a, symmetrize(smoother), p)
         assert abs(e2 - (1.0 - 1.0 / k)) <= 1e-10
+        # the optimal space solves the pencil (A, Rbar^{-1}), Rbar^{-1}-orthonormal
+        z, mu = optimal_coarse_space(a, symmetrize(smoother), n)
+        rbar = analysis.materialize(symmetrize(smoother).action, n)
+        rinv = np.linalg.inv(0.5 * (rbar + rbar.T))
+        assert np.abs(z.T @ rinv @ z - np.eye(n)).max() <= 1e-10
+        assert np.abs(a.toarray() @ z - rinv @ z * mu).max() <= 1e-10
 
     def test_singular_a_needs_its_kernel(self):
         a = problems.laplace_1d(6, "neumann")
@@ -323,3 +332,61 @@ class TestExactOracle:
         rep = two_level_report(a, gs, p, include_mu=True)
         assert len(calls) == 1
         assert rep.identity_gap <= 1e-12
+
+
+def test_oracles_read_p_as_matrix():
+    a = problems.fd_poisson_5pt(6)
+    s = full_strength(a)
+    p = interpolation.direct_interpolation(a, coarsening.mis(s), s)
+    gs = GaussSeidel(a)
+    want = two_level_report(a, gs, p)
+    for pm in (p.matrix, p.toarray()):
+        assert k_of_vc(a, symmetrize(gs), pm) == want.k_vc
+        rep = two_level_report(a, gs, pm)
+        assert (rep.n_c, rep.e_norm_sq, rep.k_vc) == (want.n_c, want.e_norm_sq, want.k_vc)
+        assert additive_condition(a, pm) == additive_condition(a, p)
+
+
+def oracle_cases():
+    """{label: (a, smoother, p, kernel)}: the aniso_oracle gallery (fe_aniso
+    20, eps=1e-3, forward GS, and standard under line GS) and UA under
+    forward GS on the singular fe_jump 20 (eps=1e-6) with its constant kernel."""
+    a = problems.fe_anisotropic(20, 1e-3)
+    s = strength_matrix(a, StrengthConfig())
+    split = coarsening.mis(s)
+    part = coarsening.greedy_aggregate(s)
+    ps = {
+        "ideal": interpolation.ideal_interpolation(a, split),
+        "direct": interpolation.direct_interpolation(a, split, s),
+        "standard": interpolation.standard_interpolation(a, split, s),
+        "ua": interpolation.ua_prolongation(part),
+        "sa": interpolation.sa_prolongation(interpolation.ua_prolongation(part), a),
+        "energymin": interpolation.energy_min_prolongation(
+            a, interpolation.supports_from_aggregates(part, s)),
+    }
+    gs = smoothers.make_smoother(a, "gs")
+    cases = {f"aniso/{name}/gs": (a, gs, p, None) for name, p in ps.items()}
+    cases["aniso/standard/line-gs"] = (
+        a, smoothers.make_smoother(a, "line-gs"), ps["standard"], None)
+    j, _ = problems.fe_jump_coefficient(20, 1e-6)
+    ua = interpolation.ua_prolongation(
+        coarsening.greedy_aggregate(strength_matrix(j, StrengthConfig())))
+    cases["jump/ua/gs"] = (j, smoothers.make_smoother(j, "gs"), ua,
+                           np.ones((j.n_rows, 1)))
+    return cases
+
+
+# e_norm_sq, k_vc and mu ("<case>/<field>") of every oracle_cases() report
+# with include_mu, written by the Rbar^{1/2} frame and the explicit-projector
+# K(V_c) that preceded the Rbar^{-1} ones (commit f314393).
+ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_reference.npz"
+
+
+def test_oracles_match_golden():
+    with np.load(ORACLE_GOLDEN) as ref:
+        for key, (a, smoother, p, kernel) in oracle_cases().items():
+            rep = two_level_report(a, smoother, p, kernel=kernel, include_mu=True)
+            assert abs(rep.e_norm_sq - ref[key + "/e_norm_sq"]) <= 1e-15, key
+            k_ref = ref[key + "/k_vc"]
+            assert abs(rep.k_vc - k_ref) <= 1e-13 * k_ref, key
+            assert np.abs(rep.mu_spectrum - ref[key + "/mu"]).max() <= 1e-11, key
