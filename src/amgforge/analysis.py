@@ -289,7 +289,7 @@ def trace_check(a, rbar, p_opt, candidates, tol=1e-9):
     can push trace(Q' A Q) below the sum of the n_c smallest eigenvalues."""
     f = _frame(a, rbar)
     n_c = p_opt.shape[1]
-    _, mu = optimal_coarse_space(a, f, n_c)
+    mu = scipy.linalg.eigh(f.a, f.rinv, eigvals_only=True)
     bound = float(mu[:n_c].sum())
     q_opt = _rbar_inv_orthonormalize(np.asarray(p_opt, dtype=float), f.rinv)
     opt_trace = float(np.trace(q_opt.T @ f.a @ q_opt))
@@ -369,7 +369,9 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
     k = k_of_vc(a, frame, p)
     builder = getattr(p, "builder", "custom")
     n_c = _p_matrix(p).shape[1]
-    mu = optimal_coarse_space(a, frame, n_c)[1] if include_mu else None
+    mu = None
+    if include_mu:  # the spectrum alone: no eigenvectors
+        mu = scipy.linalg.eigh(frame.a, frame.rinv, eigvals_only=True)
     return TwoLevelReport(builder, a.n_rows, n_c, float(e_sq), float(k), mu)
 
 

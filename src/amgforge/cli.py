@@ -66,13 +66,8 @@ def _coerce(key, text):
     return text
 
 
-def load_config(path=None, overrides=()):
-    """Resolve defaults <- file <- overrides into one flat dict."""
-    resolved = dict(_ALL_DEFAULTS)
-    def apply(key, value, where):
-        if key not in _ALL_DEFAULTS:
-            raise UsageError(f"unknown config key {key!r} ({where})")
-        resolved[key] = _coerce(key, value)
+def _config_items(path, overrides):
+    """(key, value text, where) of every file entry, then every override."""
     if path:
         with open(path) as f:
             for no, line in enumerate(f, start=1):
@@ -82,12 +77,21 @@ def load_config(path=None, overrides=()):
                 if "=" not in line:
                     raise UsageError(f"{path}:{no}: expected key=value")
                 key, value = (t.strip() for t in line.split("=", 1))
-                apply(key, value, f"{path}:{no}")
+                yield key, value, f"{path}:{no}"
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = (t.strip() for t in item.split("=", 1))
-        apply(key, value, "command line")
+        yield key, value, "command line"
+
+
+def load_config(path=None, overrides=()):
+    """Resolve defaults <- file <- overrides into one flat dict."""
+    resolved = dict(_ALL_DEFAULTS)
+    for key, value, where in _config_items(path, overrides):
+        if key not in _ALL_DEFAULTS:
+            raise UsageError(f"unknown config key {key!r} ({where})")
+        resolved[key] = _coerce(key, value)
     return resolved
 
 
@@ -107,14 +111,6 @@ def _problem_from(cfg):
 
 def cmd_generate(args):
     cfg = load_config(args.config, args.set)
-    if args.kind:
-        cfg["kind"] = args.kind
-    if args.n is not None:
-        cfg["n"] = args.n
-    if args.epsilon is not None:
-        cfg["epsilon"] = args.epsilon
-    if args.bc:
-        cfg["bc"] = args.bc
     spec = _problem_from(cfg)
     a = problems.build(spec)
     echo_config(cfg)
@@ -151,8 +147,6 @@ def cmd_solve(args):
         if kernel is not None:
             print("# warning: singular system detected (zero row sums); "
                   "projecting onto the constant-kernel complement")
-    if args.rhs and args.manufactured:
-        raise UsageError("--rhs and --manufactured are mutually exclusive")
     if args.rhs:
         b = io_mm.read_matrix_market(args.rhs)
         b = np.asarray(b, dtype=float).ravel()
@@ -184,7 +178,9 @@ def cmd_solve(args):
 _BUILDERS = ("ideal", "direct", "standard", "ua", "sa", "energymin")
 
 
-def _analyze_rows(cfg):
+def _analyze_rows(cfg, gallery):
+    """Two-level reports of every builder when ``gallery``, else of the
+    configured interpolation alone."""
     from . import coarsening, strength
 
     spec = _problem_from(cfg)
@@ -196,8 +192,7 @@ def _analyze_rows(cfg):
     setup_cfg = setup_config_from(cfg)
     s = strength.strength_matrix(a, setup_cfg.strength_config())
     splitting = {"cf": coarsening.mis(s), "agg": coarsening.greedy_aggregate(s)}
-    wanted = cfg["interpolation"]
-    names = _BUILDERS if wanted == "direct" else (wanted,)
+    names = _BUILDERS if gallery else (cfg["interpolation"],)
     rows = []
     for name in names:
         if name not in hierarchy.BUILDERS:
@@ -212,7 +207,8 @@ def _analyze_rows(cfg):
 def cmd_analyze(args):
     cfg = load_config(args.config, args.set)
     echo_config(cfg)
-    rows = _analyze_rows(cfg)
+    given = {key for key, _, _ in _config_items(args.config, args.set)}
+    rows = _analyze_rows(cfg, gallery="interpolation" not in given)
     header = ("builder", "n", "n_c", "e_norm_sq", "rate_from_k",
               "rate_from_mu", "identity_gap")
     if args.csv:
@@ -265,19 +261,13 @@ def build_parser():
     common.add_argument("--csv", action="store_true", help="machine-readable output")
 
     g = sub.add_parser("generate", parents=[common], help="write a model matrix")
-    g.add_argument("--kind", choices=("fd5", "fd9", "fe_aniso", "fe_jump",
-                                      "graph_laplacian"))
-    g.add_argument("--n", type=int)
-    g.add_argument("--epsilon", type=float)
-    g.add_argument("--bc", choices=("dirichlet", "neumann"))
     g.add_argument("--out", required=True, help="output Matrix Market path")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", parents=[common], help="AMG-preconditioned CG solve")
     s.add_argument("--matrix", required=True, help="Matrix Market input")
-    s.add_argument("--rhs", help="right-hand side (array format)")
-    s.add_argument("--manufactured", action="store_true",
-                   help="build b from a seeded random solution (default when no rhs)")
+    s.add_argument("--rhs", help="right-hand side (array format; default: b = A x "
+                                 "for a seeded random x)")
     s.add_argument("--kernel", choices=("constants",),
                    help="declare the kernel of a singular system")
     s.set_defaults(func=cmd_solve)

@@ -257,29 +257,25 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if not (np.isfinite(b).all() and np.isfinite(x).all()):
         raise ValueError("right-hand side or initial guess has non-finite entries")
-    proj = None
+    proj = lambda v: v
     if kernel is not None:
-        z = np.atleast_2d(np.asarray(kernel, dtype=float).T).T
-        q, _ = np.linalg.qr(z)
+        q, _ = np.linalg.qr(np.atleast_2d(np.asarray(kernel, dtype=float).T).T)
         proj = lambda v: v - q @ (q.T @ v)
-        b = proj(b)
     start = time.perf_counter()
     report = SolveReport()
-    if proj is not None:
-        x = proj(x)
+    b, x = proj(b), proj(x)
     r = b - a @ x
     b_norm = float(np.linalg.norm(b))
     report.residuals.append(float(np.linalg.norm(r)))
-    if b_norm == 0.0:
-        report.converged = True
-        report.wall_time = time.perf_counter() - start
-        return x, report.finalize()
-    z = preconditioner(r)
-    if proj is not None:
-        z = proj(z)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_it):
+    report.converged = b_norm == 0.0
+    p = None
+    while not report.converged and len(report.residuals) <= max_it:
+        z = proj(preconditioner(r))
+        rz_new = float(r @ z)
+        # the first direction copies z: an identity preconditioner returns
+        # r itself, which is updated in place below
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -288,18 +284,8 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if proj is not None:
-            r = proj(r)
-        res = float(np.linalg.norm(r))
-        report.residuals.append(res)
-        if res <= tol * b_norm:
-            report.converged = True
-            break
-        z = preconditioner(r)
-        if proj is not None:
-            z = proj(z)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        r = proj(r)
+        report.residuals.append(float(np.linalg.norm(r)))
+        report.converged = report.residuals[-1] <= tol * b_norm
     report.wall_time = time.perf_counter() - start
     return x, report.finalize()

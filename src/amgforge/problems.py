@@ -35,111 +35,79 @@ class ProblemSpec:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
 
-def _grid_laplacian(n, wx, wy):
-    """Graph Laplacian of the n x n grid graph with per-direction edge weights."""
-    ex = np.ones(n - 1) if n > 1 else np.zeros(0)
-    path = sp.diags([-ex, -ex], [-1, 1], shape=(n, n))
-    lap_x = sp.diags((-path @ np.ones(n))) + path  # 1D path Laplacian
-    eye = sp.identity(n)
-    return wx * sp.kron(eye, lap_x) + wy * sp.kron(lap_x, eye)
-
-
-def fd_poisson_5pt(n, bc=DIRICHLET):
-    """5-point Laplacian on the unit square.
-
-    Dirichlet: the classic block-tridiagonal matrix with diagonal 4 on the
-    n^2 interior unknowns.  Neumann: the grid-graph Laplacian with unit edge
-    weights (singular, kernel = constants).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if bc == NEUMANN:
-        return from_scipy(_grid_laplacian(n, 1.0, 1.0), sparse.SYMMETRIC)
-    ex = np.ones(n - 1) if n > 1 else np.zeros(0)
-    b = sp.diags([-ex, 4.0 * np.ones(n), -ex], [-1, 0, 1])
-    eye = sp.identity(n)
-    off = sp.diags([np.ones(n - 1)], [1]) if n > 1 else sp.csr_matrix((n, n))
-    a = sp.kron(eye, b) - sp.kron(off + off.T, eye)
-    return from_scipy(a, sparse.SYMMETRIC)
-
-
-def fd_poisson_9pt(n):
-    """9-point Laplacian: diagonal 8, all eight neighbors coupled with -1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ex = np.ones(n - 1) if n > 1 else np.zeros(0)
-    b = sp.diags([-ex, 8.0 * np.ones(n), -ex], [-1, 0, 1])
-    c = sp.diags([ex, np.ones(n), ex], [-1, 0, 1])
-    off = sp.diags([np.ones(n - 1)], [1]) if n > 1 else sp.csr_matrix((n, n))
-    a = sp.kron(sp.identity(n), b) - sp.kron(off + off.T, c)
-    return from_scipy(a, sparse.SYMMETRIC)
-
-
-def fe_anisotropic(n, epsilon, bc=DIRICHLET):
-    """Anisotropic stencil: diagonal 2(1+eps), x-neighbors -1, y-neighbors -eps.
-
-    The strong direction is x (couplings -1 along each grid line); eps scales
-    the weak y-direction couplings.  eps = 1 reduces to the isotropic
-    five-point pattern scaled by 1.
-    """
-    if n < 1 or epsilon <= 0:
-        raise ValueError("need n >= 1 and epsilon > 0")
-    if bc == NEUMANN:
-        return from_scipy(_grid_laplacian(n, 1.0, epsilon), sparse.SYMMETRIC)
-    ex = np.ones(n - 1) if n > 1 else np.zeros(0)
-    b = sp.diags([-ex, 2.0 * (1.0 + epsilon) * np.ones(n), -ex], [-1, 0, 1])
-    off = sp.diags([np.ones(n - 1)], [1]) if n > 1 else sp.csr_matrix((n, n))
-    a = sp.kron(sp.identity(n), b) - epsilon * sp.kron(off + off.T, sp.identity(n))
-    return from_scipy(a, sparse.SYMMETRIC)
-
-
 def laplace_1d(n, bc=DIRICHLET):
     """tridiag(-1, 2, -1) on n unknowns; Neumann variant is the path-graph Laplacian."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ex = np.ones(n - 1) if n > 1 else np.zeros(0)
-    if bc == NEUMANN:
-        diag = np.full(n, 2.0)
-        diag[0] = diag[-1] = 1.0
-        if n == 1:
-            diag[0] = 0.0
-        a = sp.diags([-ex, diag, -ex], [-1, 0, 1])
-    else:
-        a = sp.diags([-ex, 2.0 * np.ones(n), -ex], [-1, 0, 1])
-    return from_scipy(a, sparse.SYMMETRIC)
+    ex = np.ones(n - 1)
+    diag = np.r_[ex, 0.0] + np.r_[0.0, ex] if bc == NEUMANN else np.full(n, 2.0)
+    return from_scipy(sp.diags([-ex, diag, -ex], [-1, 0, 1]), sparse.SYMMETRIC)
+
+
+def fe_anisotropic(n, epsilon, bc=DIRICHLET):
+    """Anisotropic stencil kron(I, T) + eps kron(T, I), T = laplace_1d(n, bc).
+
+    The strong direction is x (couplings -1 along each grid line); eps scales
+    the weak y-direction couplings.  Dirichlet: diagonal 2(1+eps) on the n^2
+    interior unknowns.  Neumann: the grid-graph Laplacian with edge weights 1
+    and eps (singular, kernel = constants).
+    """
+    if n < 1 or epsilon <= 0:
+        raise ValueError("need n >= 1 and epsilon > 0")
+    t, eye = laplace_1d(n, bc).mat, sp.identity(n)
+    return from_scipy(sp.kron(eye, t) + epsilon * sp.kron(t, eye), sparse.SYMMETRIC)
+
+
+def fd_poisson_5pt(n, bc=DIRICHLET):
+    """5-point Laplacian on the unit square, ``fe_anisotropic(n, 1.0, bc)``:
+    diagonal 4 under Dirichlet, the unit-weight grid-graph Laplacian under
+    Neumann."""
+    return fe_anisotropic(n, 1.0, bc)
+
+
+def fd_poisson_9pt(n):
+    """9-point Laplacian 9I - kron(J, J), J = tridiag(1, 1, 1): diagonal 8,
+    all eight neighbors coupled with -1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ex = np.ones(n - 1)
+    j = sp.diags([ex, np.ones(n), ex], [-1, 0, 1])
+    return from_scipy(9.0 * sp.identity(n * n) - sp.kron(j, j), sparse.SYMMETRIC)
 
 
 @dataclass
 class ElementAssembly:
-    """Per-element stiffness blocks whose zero-extensions sum to A."""
+    """Per-element stiffness blocks whose zero-extensions sum to A.
+
+    Every element has the same number of vertices (all are triangles here).
+    """
 
     n_vertices: int
     elements: list  # (vertex index tuple, dense local block)
     coords: np.ndarray = None
 
     def assemble(self):
-        rows, cols, vals = [], [], []
-        for verts, block in self.elements:
-            verts = np.asarray(verts, dtype=np.int64)
-            r, c = np.meshgrid(verts, verts, indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(np.asarray(block, dtype=float).ravel())
-        coo = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_vertices, self.n_vertices),
-        )
+        verts = np.array([v for v, _ in self.elements], dtype=np.int64)
+        blocks = np.array([b for _, b in self.elements], dtype=float)
+        k = verts.shape[1]
+        rows, cols = np.repeat(verts, k, axis=1), np.tile(verts, k)
+        coo = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                            shape=(self.n_vertices, self.n_vertices))
         return from_scipy(coo, sparse.SYMMETRIC)
 
 
 def _triangle_stiffness(pts, coeff):
-    """Stiffness block of one linear triangle: coeff * |T| * grad_i . grad_j."""
+    """Stiffness blocks coeff * |T| * grad_i . grad_j of linear triangles.
+
+    ``pts`` is one triangle's vertices, shape (3, 2), or a stack of them,
+    shape (E, 3, 2); ``coeff`` is a scalar or one value per triangle.
+    """
     pts = np.asarray(pts, dtype=float)
-    d = np.array([pts[2] - pts[1], pts[0] - pts[2], pts[1] - pts[0]])
-    area2 = d[1, 0] * d[2, 1] - d[2, 0] * d[1, 1]  # 2*area, signed
-    area = abs(area2) / 2.0
-    grads = np.column_stack([d[:, 1], -d[:, 0]]) / area2  # rotated edge vectors
-    return coeff * area * (grads @ grads.T)
+    d = pts[..., [2, 0, 1], :] - pts[..., [1, 2, 0], :]  # edge opposite each vertex
+    area2 = d[..., 1, 0] * d[..., 2, 1] - d[..., 2, 0] * d[..., 1, 1]  # 2*area, signed
+    grads = np.stack([d[..., 1], -d[..., 0]], axis=-1) / area2[..., None, None]
+    scale = np.asarray(coeff) * (np.abs(area2) / 2.0)
+    return scale[..., None, None] * (grads @ np.swapaxes(grads, -1, -2))
 
 
 def checkerboard(x, y):
@@ -147,36 +115,31 @@ def checkerboard(x, y):
     return (x - 0.5) * (y - 0.5) < 0.0
 
 
-def fe_jump_coefficient(n, epsilon, jump_pattern=checkerboard):
+def fe_jump_coefficient(n, epsilon):
     """Linear FE assembly of the jump-coefficient problem on the unit square.
 
     Uniform right-triangle mesh with (n+2)^2 nodes (n interior per direction,
     h = 1/(n+1)); natural boundary conditions, so the matrix is singular with
     kernel = constants and interior rows reproduce the 5-point stencil when
-    the coefficient is 1 everywhere.  ``jump_pattern(x, y) -> bool`` marks
-    element barycenters lying in the epsilon region.
+    the coefficient is 1 everywhere.  Elements whose barycenter lies in the
+    ``checkerboard`` region get coefficient epsilon.
 
     Returns (matrix, assembly); the assembly carries per-element blocks.
     """
     if n < 1 or epsilon <= 0:
         raise ValueError("need n >= 1 and epsilon > 0")
     m = n + 2  # nodes per direction
-    h = 1.0 / (n + 1)
-    xs = np.arange(m) * h
-    coords = np.array([(xs[i], xs[j]) for j in range(m) for i in range(m)])
-    node = lambda i, j: j * m + i
-    elements = []
-    for j in range(m - 1):
-        for i in range(m - 1):
-            # split each cell along the (i,j)-(i+1,j+1) diagonal
-            for tri in (
-                (node(i, j), node(i + 1, j), node(i + 1, j + 1)),
-                (node(i, j), node(i + 1, j + 1), node(i, j + 1)),
-            ):
-                pts = coords[list(tri)]
-                bary = pts.mean(axis=0)
-                coeff = epsilon if jump_pattern(bary[0], bary[1]) else 1.0
-                elements.append((tri, _triangle_stiffness(pts, coeff)))
+    xs = np.arange(m) * (1.0 / (n + 1))
+    coords = np.column_stack([np.tile(xs, m), np.repeat(xs, m)])
+    # lower-left node of each cell, cells row by row; each cell is split
+    # along its (i,j)-(i+1,j+1) diagonal
+    ll = (m * np.arange(m - 1)[:, None] + np.arange(m - 1)).ravel()
+    tris = np.column_stack([ll, ll + 1, ll + m + 1,
+                            ll, ll + m + 1, ll + m]).reshape(-1, 3)
+    pts = coords[tris]
+    bary = pts.mean(axis=1)
+    coeff = np.where(checkerboard(bary[:, 0], bary[:, 1]), epsilon, 1.0)
+    elements = list(zip(map(tuple, tris.tolist()), _triangle_stiffness(pts, coeff)))
     assembly = ElementAssembly(m * m, elements, coords)
     return assembly.assemble(), assembly
 
@@ -189,10 +152,7 @@ def interior_indices(n):
 
 def exact_spectrum_5pt(n):
     """Closed-form Dirichlet 5-point eigenvalues, sorted ascending."""
-    k = np.arange(1, n + 1)
-    s = np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
-    lam = 4.0 * (s[:, None] + s[None, :])
-    return np.sort(lam.ravel())
+    return exact_spectrum_anisotropic(n, 1.0)
 
 
 def exact_spectrum_anisotropic(n, epsilon):

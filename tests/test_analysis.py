@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from amgforge import analysis, coarsening, interpolation, problems, smoothers, sparse
+from amgforge import (analysis, coarsening, hierarchy, interpolation, problems,
+                      smoothers, sparse)
 from amgforge.analysis import (additive_condition, classify_frequencies,
                                error_norm, k_of_vc, optimal_coarse_space,
                                trace_check, two_level_error_norm,
@@ -232,6 +233,26 @@ def test_two_level_report_fields():
     assert rep.n == 10 and rep.n_c == p.n_coarse
     assert 0.0 <= rep.e_norm_sq < 1.0
     assert rep.identity_gap <= 1e-8
+
+
+# (kind, bc) of the model families; fe_jump has natural boundary conditions
+MODEL_FAMILIES = [("fd5", "dirichlet"), ("fd5", "neumann"), ("fe_aniso", "dirichlet"),
+                  ("fe_aniso", "neumann"), ("fe_jump", "neumann")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODEL_FAMILIES), st.integers(3, 12), st.floats(1e-6, 1.0),
+       st.sampled_from(["gs", "jacobi"]), st.sampled_from(["direct", "standard", "ua", "sa"]))
+def test_identity_on_model_problems(family, n, eps, kind, builder):
+    a = problems.build(problems.ProblemSpec(family[0], n, eps, family[1]))
+    kernel = np.ones((a.n_rows, 1)) if family[1] == "neumann" else None
+    cfg = hierarchy.SetupConfig()
+    s = strength_matrix(a, cfg.strength_config())
+    splitting = {"cf": coarsening.mis(s), "agg": coarsening.greedy_aggregate(s)}
+    split_kind, build = hierarchy.BUILDERS[builder]
+    p = build(a, splitting[split_kind], s, cfg)
+    smoother = GaussSeidel(a) if kind == "gs" else Jacobi(a, 0.5)
+    assert two_level_report(a, smoother, p, kernel=kernel).identity_gap <= 1e-7
 
 
 class TestExactOracle:

@@ -1,25 +1,29 @@
 """One tiny pass of every benchmark workload through the library.
 
-The benchmark's own tests live outside the tier-1 test paths; this smoke
-test catches a library change that breaks a call the benchmark makes.
+The benchmark's own tests live outside the tier-1 test paths; these smoke
+tests catch a library change that breaks a call the benchmark makes, or a
+name its layer tracer patches.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -28,3 +32,20 @@ def test_tiny_pass_has_no_failures(name, tmp_path):
     rec = workloads.Record()
     rec.run_pass(workload, 0)
     assert rec.failed == 0, rec.failures
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_tiny_pass(name, tmp_path):
+    workload = workloads.WORKLOADS[name](0, str(tmp_path), tiny=True)
+    rec = workloads.Record()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rec.run_pass(workload, 0)
+    finally:
+        t.uninstall()
+    assert tracer.installed_wrappers() == []
+    assert rec.failed == 0, rec.failures
+    metrics = t.finish_pass()
+    assert set(metrics) == set(tracer.metric_names()) - {tracer.OVERHEAD_METRIC}
+    assert all(math.isfinite(v) for v in metrics.values()), metrics

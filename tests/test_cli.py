@@ -34,7 +34,8 @@ class TestConfig:
 class TestGenerate:
     def test_fd5_n2_file_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
-        code = main(["generate", "--kind", "fd5", "--n", "2", "--out", str(out)])
+        code = main(["generate", "--set", "kind=fd5", "--set", "n=2",
+                     "--out", str(out)])
         assert code == EXIT_OK
         text = out.read_text().splitlines()
         n_entries = int(text[1].split()[2])
@@ -46,21 +47,22 @@ class TestGenerate:
 
     def test_invalid_n_is_usage_error(self, tmp_path):
         out = tmp_path / "x.mtx"
-        code = main(["generate", "--kind", "fd5", "--n", "0", "--out", str(out)])
+        code = main(["generate", "--set", "kind=fd5", "--set", "n=0",
+                     "--out", str(out)])
         assert code == EXIT_USAGE
 
     def test_byte_identical_reruns(self, tmp_path):
         o1, o2 = tmp_path / "r1.mtx", tmp_path / "r2.mtx"
         for out in (o1, o2):
-            assert main(["generate", "--kind", "fe_aniso", "--n", "3",
-                         "--epsilon", "0.01", "--out", str(out)]) == EXIT_OK
+            assert main(["generate", "--set", "kind=fe_aniso", "--set", "n=3",
+                         "--set", "epsilon=0.01", "--out", str(out)]) == EXIT_OK
         assert o1.read_bytes() == o2.read_bytes()
 
 
 class TestSolve:
     def test_poisson_converges_quickly(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
-        main(["generate", "--kind", "fd5", "--n", "31", "--out", str(out)])
+        main(["generate", "--set", "kind=fd5", "--set", "n=31", "--out", str(out)])
         capsys.readouterr()
         code = main(["solve", "--matrix", str(out),
                      "--set", "interpolation=standard"])
@@ -74,7 +76,7 @@ class TestSolve:
 
     def test_singular_system_auto_kernel(self, tmp_path, capsys):
         out = tmp_path / "n.mtx"
-        main(["generate", "--kind", "fd5", "--n", "6", "--bc", "neumann",
+        main(["generate", "--set", "kind=fd5", "--set", "n=6", "--set", "bc=neumann",
               "--out", str(out)])
         capsys.readouterr()
         code = main(["solve", "--matrix", str(out), "--set", "n0=10"])
@@ -101,8 +103,8 @@ class TestSolve:
 
     def test_interpolation_failure_is_setup_error(self, tmp_path, capsys):
         out = tmp_path / "aniso.mtx"
-        main(["generate", "--kind", "fe_aniso", "--n", "20", "--epsilon", "1e-3",
-              "--out", str(out)])
+        main(["generate", "--set", "kind=fe_aniso", "--set", "n=20",
+              "--set", "epsilon=1e-3", "--out", str(out)])
         capsys.readouterr()
         code = main(["solve", "--matrix", str(out), "--set", "coarsening=aggressive",
                      "--set", "interpolation=direct"])
@@ -112,8 +114,8 @@ class TestSolve:
 
     def test_line_gs_multilevel_is_setup_error(self, tmp_path, capsys):
         out = tmp_path / "aniso.mtx"
-        main(["generate", "--kind", "fe_aniso", "--n", "32", "--epsilon", "1e-3",
-              "--out", str(out)])
+        main(["generate", "--set", "kind=fe_aniso", "--set", "n=32",
+              "--set", "epsilon=1e-3", "--out", str(out)])
         capsys.readouterr()
         code = main(["solve", "--matrix", str(out), "--set", "smoother=line-gs"])
         err = capsys.readouterr().err
@@ -131,7 +133,7 @@ class TestSolve:
 
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
-        main(["generate", "--kind", "fd5", "--n", "8", "--out", str(out)])
+        main(["generate", "--set", "kind=fd5", "--set", "n=8", "--out", str(out)])
         capsys.readouterr()
         assert main(["solve", "--matrix", str(out), "--csv",
                      "--set", "n0=20"]) == EXIT_OK
@@ -181,6 +183,21 @@ class TestAnalyze:
         assert code == EXIT_NONCONVERGENCE
         assert "emin_tol" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("where", ["command line", "config file"])
+    def test_direct_interpolation_runs_alone(self, where, tmp_path, capsys):
+        # direct is also the default value; only an unset key runs the gallery
+        args = ["analyze", "--csv", "--set", "kind=fd5", "--set", "n=6"]
+        if where == "config file":
+            path = tmp_path / "run.cfg"
+            path.write_text("interpolation = direct\n")
+            args += ["--config", str(path)]
+        else:
+            args += ["--set", "interpolation=direct"]
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        rows = [ln for ln in out if ln and not ln.startswith(("#", "builder"))]
+        assert [row.split(",")[0] for row in rows] == ["direct"]
+
     def test_cap_refused(self, capsys):
         code = main(["analyze", "--set", "kind=fd5", "--set", "n=60"])
         assert code == EXIT_USAGE
@@ -222,8 +239,11 @@ def test_analyze_singular_problem(capsys):
 
 
 def test_solve_rhs_and_manufactured_conflict(tmp_path, capsys):
+    # without --rhs the right-hand side is manufactured; there is no flag
+    # that asks for it, so none can conflict with --rhs
     out = tmp_path / "a.mtx"
-    main(["generate", "--kind", "fd5", "--n", "4", "--out", str(out)])
+    main(["generate", "--set", "kind=fd5", "--set", "n=4", "--out", str(out)])
     code = main(["solve", "--matrix", str(out), "--rhs", str(out),
                  "--manufactured"])
     assert code == EXIT_USAGE
+    assert "unrecognized arguments: --manufactured" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -155,3 +157,48 @@ class TestProblemSpec:
     def test_checkerboard_predicate(self):
         assert checkerboard(0.25, 0.75)
         assert not checkerboard(0.25, 0.25)
+
+
+# np.savez_compressed of golden_entries(), run against the generators that
+# preceded the 1-D-operator constructions (separate Kronecker blocks per
+# stencil and a per-element fe_jump loop, commit 867437c).
+GOLDEN = Path(__file__).parent / "data" / "problems_reference.npz"
+GOLDEN_N = (1, 2, 3, 4, 7, 16)
+GOLDEN_EPS = (1.0, 1e-3, 1e-6)
+
+
+def _csr_entries(key, a):
+    return {f"{key}/indptr": a.mat.indptr, f"{key}/indices": a.mat.indices,
+            f"{key}/data": a.mat.data}
+
+
+def golden_entries():
+    out = {}
+    for n in GOLDEN_N:
+        for bc in ("dirichlet", "neumann"):
+            out.update(_csr_entries(f"fd5_{bc}_{n}", fd_poisson_5pt(n, bc)))
+            out.update(_csr_entries(f"laplace_1d_{bc}_{n}", problems.laplace_1d(n, bc)))
+            for eps in GOLDEN_EPS:
+                out.update(_csr_entries(f"fe_aniso_{bc}_{eps:g}_{n}",
+                                        fe_anisotropic(n, eps, bc)))
+        out.update(_csr_entries(f"fd9_{n}", fd_poisson_9pt(n)))
+        out[f"spectrum_5pt_{n}"] = exact_spectrum_5pt(n)
+        for eps in GOLDEN_EPS:
+            out[f"spectrum_aniso_{eps:g}_{n}"] = exact_spectrum_anisotropic(n, eps)
+    for n, eps in ((1, 1e-3), (3, 1.0), (8, 1e-6)):
+        a, asm = fe_jump_coefficient(n, eps)
+        key = f"fe_jump_{eps:g}_{n}"
+        out.update(_csr_entries(key, a))
+        out[f"{key}/verts"] = np.array([v for v, _ in asm.elements])
+        out[f"{key}/blocks"] = np.array([b for _, b in asm.elements])
+        out[f"{key}/coords"] = asm.coords
+    return out
+
+
+def test_generators_match_golden():
+    got = golden_entries()
+    with np.load(GOLDEN) as ref:
+        assert set(ref.files) == set(got)
+        for key, value in got.items():
+            assert ref[key].dtype == value.dtype, key
+            assert np.array_equal(ref[key], value), key
