@@ -66,8 +66,9 @@ _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SetupConfig)}
 @dataclass
 class Level:
     """One level of a hierarchy: its operator and, above the coarsest, the
-    prolongation to the next level, the smoother pair, and the strength
-    matrix and splitting it coarsened with.
+    prolongation P to the next level, P's transpose stored once as a CSR
+    ``pt`` for restriction, the smoother pair, and the strength matrix and
+    splitting it coarsened with.
 
     The post-smoother is always the adjoint of the pre-smoother, which keeps
     the V-cycle symmetric and so admissible as a PCG preconditioner.
@@ -77,12 +78,15 @@ class Level:
     p: interpolation.Prolongation = None
     pre_smoother: object = None
     post_smoother: object = field(init=False)
+    pt: sparse.SparseMatrix = field(init=False)
     strength: object = field(default=None, kw_only=True)
     coarsening: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
         pre = self.pre_smoother
         self.post_smoother = None if pre is None else pre.adjoint()
+        # CSR P^T sums each row in P's row order, as the CSC product P.T @ v does
+        self.pt = None if self.p is None else sparse.from_scipy(self.p.matrix.mat.T)
 
 
 @dataclass
@@ -225,9 +229,8 @@ def _vcycle(h, level, g, nu1, nu2):
     if level == h.n_levels - 1:
         return h.coarsest_solver.solve(g)
     x = lvl.pre_smoother.apply(g, sweeps=nu1)
-    p = lvl.p.matrix
-    rc = sparse.spmv_transpose(p, g - lvl.a @ x)
-    x = x + sparse.spmv(p, _vcycle(h, level + 1, rc, nu1, nu2))
+    rc = sparse.spmv(lvl.pt, g - lvl.a @ x)
+    x = x + sparse.spmv(lvl.p.matrix, _vcycle(h, level + 1, rc, nu1, nu2))
     return lvl.post_smoother.apply(g, x, sweeps=nu2)
 
 

@@ -1,9 +1,15 @@
 """Matrix Market coordinate I/O (real, general and symmetric).
 
 Indices are 1-based on disk and 0-based in memory.  Symmetric files store the
-lower triangle only.  Dense vectors use the array format.
+lower triangle only.  Dense vectors use the array format.  A square general
+file whose matrix is bit-exactly symmetric reads as symmetric.
+
+A coordinate body made only of plain "i j value" lines is tokenized by
+scipy's ``mmread`` (fast_matrix_market, which starts its own threads); any
+other body goes to the Python parser, which names the first bad line.
 """
 
+import io
 import re
 
 import numpy as np
@@ -97,8 +103,17 @@ def _report_bad_entry(entries, n_rows, n_cols, nnz, symmetric, size_no):
     raise AssertionError("the vectorized pass rejected a valid body")
 
 
+def _in_range(i, j, v, n_rows, n_cols, symmetric):
+    """The 0-based (i, j, value) arrays of 1-based i and j, or None when an
+    index is out of range or a symmetric file has an upper-triangle entry."""
+    bad = (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols)
+    if symmetric:
+        bad |= j > i
+    return None if bad.any() else (i - 1, j - 1, v)
+
+
 def _entries(body, nnz, n_rows, n_cols, symmetric):
-    """The 1-based (i, j, value) arrays in one pass over the body's fields,
+    """The 0-based (i, j, value) arrays in one pass over the body's fields,
     or None when any line is bad (the reporter then names it)."""
     if not set(map(len, map(str.split, body.split("\n")))) <= {0, 3}:
         return None
@@ -111,10 +126,72 @@ def _entries(body, nnz, n_rows, n_cols, symmetric):
         v = np.fromiter(map(float, fields[2::3]), dtype=float, count=nnz)
     except (ValueError, OverflowError):  # overflow: an index beyond int64
         return None
-    bad = (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols)
-    if symmetric:
-        bad |= j > i
-    return None if bad.any() else (i - 1, j - 1, v)
+    return _in_range(i, j, v, n_rows, n_cols, symmetric)
+
+
+_SPACE, _NEWLINE, _DOT, _PLUS, _MINUS, _ZERO, _NINE, _E = b" \n.+-09e"
+
+
+def _plain_lines(raw, nnz):
+    """Whether the ASCII body is nnz lines "i j value\n", one space apart,
+    with digit-only indices and values matching -?(D+.?D*|.D+)([eE][+-]?D+)?.
+
+    On such a body mmread and int()/float() read the same numbers.  Past it
+    they part: mmread ends a token at the first character that cannot extend
+    a number and skips the rest of the line unread ("1 1 2 7", "1 1 1_0" and
+    "1 1 0x10" read as 2, 1 and 0)."""
+    if not raw.endswith(b"\n") or raw.translate(None, b"0123456789+-.eE \n"):
+        return False
+    a = np.frombuffer(raw, dtype=np.uint8)
+    sep = np.flatnonzero(a <= _SPACE)  # the whitelist leaves only space and newline
+    if sep.size != 3 * nnz or sep[0] == 0 or np.diff(sep).min() < 2 \
+            or not (a[sep].reshape(nnz, 3) == (_SPACE, _SPACE, _NEWLINE)).all():
+        return False
+    # every sign, dot and exponent letter, and the token that holds it
+    pos = np.flatnonzero((a < _ZERO) & (a > _SPACE) | (a > _NINE))
+    token = np.searchsorted(sep, pos)
+    if (token % 3 != 2).any():
+        return False
+    c, before, after = a[pos], a[pos - 1], a[pos + 1]
+    digit_before = (before >= _ZERO) & (before <= _NINE)
+    digit_after = (after >= _ZERO) & (after <= _NINE)
+    is_exp, exp_before, exp_after = ((x | 0x20) == _E for x in (c, before, after))
+    lead = (c == _MINUS) & (before == _SPACE)
+    ok = lead & (digit_after | (after == _DOT))
+    ok |= ((c == _MINUS) | (c == _PLUS)) & exp_before & digit_after
+    ok |= (c == _DOT) & np.where(digit_before, digit_after | exp_after | (after == _NEWLINE),
+                                 ((before == _SPACE) | (before == _MINUS)) & digit_after)
+    ok |= is_exp & (digit_before | (before == _DOT)) & (
+        digit_after | (after == _PLUS) | (after == _MINUS))
+    if not ok.all():
+        return False
+    # within a token: at most one of each, in the order lead sign, dot,
+    # exponent letter, exponent sign
+    rank = np.select([lead, c == _DOT, is_exp], [0, 1, 2], 3)
+    same = token[1:] == token[:-1]
+    return bool((rank[1:][same] > rank[:-1][same]).all())
+
+
+def _fast_entries(body, nnz, n_rows, n_cols, symmetric):
+    """The 0-based (i, j, value) arrays as scipy's mmread reads them, or None
+    when the body is not plain lines or mmread rejects it."""
+    if not body.isascii():
+        return None
+    raw = body.encode()
+    if not _plain_lines(raw, nnz):
+        return None
+    import scipy.io  # here, not at the top: importing it takes about 25 ms
+
+    # a general header: the file's own entries only, in file order
+    head = f"%%MatrixMarket matrix coordinate real general\n{n_rows} {n_cols} {nnz}\n"
+    try:
+        m = scipy.io.mmread(io.BytesIO(head.encode() + raw))
+    except (ValueError, OverflowError):
+        return None
+    if m.shape != (n_rows, n_cols) or m.nnz != nnz:
+        return None
+    return _in_range(m.row.astype(np.int64) + 1, m.col.astype(np.int64) + 1, m.data,
+                     n_rows, n_cols, symmetric)
 
 
 def _read_coordinate(body, sizes, size_no, symmetric):
@@ -124,9 +201,11 @@ def _read_coordinate(body, sizes, size_no, symmetric):
         n_rows, n_cols, nnz = (int(s) for s in sizes)
     except ValueError:
         raise MatrixMarketError("non-integer size entry", size_no) from None
-    if "%" in body:
-        body = _COMMENT.sub("", body)
-    entries = _entries(body, nnz, n_rows, n_cols, symmetric)
+    entries = _fast_entries(body, nnz, n_rows, n_cols, symmetric)
+    if entries is None:
+        if "%" in body:
+            body = _COMMENT.sub("", body)
+        entries = _entries(body, nnz, n_rows, n_cols, symmetric)
     if entries is None:
         _report_bad_entry(_content(body.split("\n"), size_no + 1),
                           n_rows, n_cols, nnz, symmetric, size_no)
@@ -136,8 +215,12 @@ def _read_coordinate(body, sizes, size_no, symmetric):
         keep = np.column_stack([np.ones(nnz, dtype=bool), i != j]).ravel()
         i, j = np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep]
         v = np.repeat(v, 2)[keep]
-    coo = sp.coo_matrix((v, (i, j)), shape=(n_rows, n_cols))
-    return sparse.from_scipy(coo, sparse.SYMMETRIC if symmetric else sparse.GENERAL)
+        return sparse.from_scipy(sp.coo_matrix((v, (i, j)), shape=(n_rows, n_cols)),
+                                 sparse.SYMMETRIC)
+    a = sparse.from_scipy(sp.coo_matrix((v, (i, j)), shape=(n_rows, n_cols)))
+    if a.is_square() and (a.mat - a.mat.T).nnz == 0:
+        return sparse.SparseMatrix(a.mat, sparse.SYMMETRIC)
+    return a
 
 
 def read_matrix_market(path):

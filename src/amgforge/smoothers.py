@@ -67,13 +67,19 @@ class Smoother:
 
     def apply(self, b, x=None, sweeps=1):
         """Iterate x <- x + B(b - A x) on a vector or an (n, k) block b, from
-        x = 0 when x is None; sweeps=0 returns x unchanged."""
+        x = 0 when x is None (the first sweep is then x = B b); sweeps=0
+        returns x unchanged."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side has wrong length")
-        x = np.zeros_like(b) if x is None else np.array(x, dtype=float)
-        if x.shape != b.shape:
-            raise ValueError("iterate and right-hand side differ in shape")
+        if x is not None:
+            x = np.array(x, dtype=float)
+            if x.shape != b.shape:
+                raise ValueError("iterate and right-hand side differ in shape")
+        elif sweeps < 1:
+            return np.zeros_like(b)
+        else:
+            x, sweeps = self.action(b), sweeps - 1
         for _ in range(sweeps):
             x = x + self.action(b - self.a @ x)
         return x

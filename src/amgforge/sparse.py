@@ -124,13 +124,6 @@ def spmv(a, x):
     return a.mat @ x
 
 
-def spmv_transpose(a, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != a.n_rows:
-        raise ValueError(f"dimension mismatch: matrix has {a.n_rows} rows, vector has {x.shape[0]}")
-    return a.mat.T @ x
-
-
 def galerkin_product(p, a):
     """Coarse-level operator P^T A P.
 

@@ -25,6 +25,8 @@ def _load(name):
 workloads = _load("workloads")
 tracer = _load("tracer")
 
+SOLVE_WORKLOADS = ("poisson_classical", "jump_multirhs", "jump_bootstrap")
+
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_tiny_pass_has_no_failures(name, tmp_path):
@@ -49,3 +51,9 @@ def test_traced_tiny_pass(name, tmp_path):
     metrics = t.finish_pass()
     assert set(metrics) == set(tracer.metric_names()) - {tracer.OVERHEAD_METRIC}
     assert all(math.isfinite(v) for v in metrics.values()), metrics
+    # the layers the tracer times ran through the names it patches
+    if name in SOLVE_WORKLOADS:
+        for key in ("sparse.spmv_calls", "smoothers.apply_calls", "hierarchy.vcycles"):
+            assert metrics[key] > 0, key
+    if name == "poisson_classical":
+        assert metrics["io_mm.read_s"] > 0

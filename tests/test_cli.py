@@ -74,6 +74,21 @@ class TestSolve:
         assert iterations <= 20
         assert "# config theta=0.25" in captured
 
+    def test_symmetric_matrix_in_general_format(self, tmp_path, capsys):
+        a = problems.fd_poisson_5pt(16)
+        sym, gen = tmp_path / "s.mtx", tmp_path / "g.mtx"
+        io_mm.write_matrix_market(sym, a)
+        io_mm.write_matrix_market(gen, sparse.SparseMatrix(a.mat, sparse.GENERAL))
+        assert "real general" in gen.read_text().splitlines()[0]
+        iterations = []
+        for path in (sym, gen):
+            code = main(["solve", "--matrix", str(path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, captured.err
+            last = captured.out.splitlines()[-1]
+            iterations.append(last.split()[0])
+        assert iterations[0] == iterations[1]
+
     def test_singular_system_auto_kernel(self, tmp_path, capsys):
         out = tmp_path / "n.mtx"
         main(["generate", "--set", "kind=fd5", "--set", "n=6", "--set", "bc=neumann",

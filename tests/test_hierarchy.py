@@ -177,10 +177,50 @@ class TestVCycle:
         assert abs(measured - e_rate) <= 2e-3
 
 
+def reference_vcycle(h, level, g, nu1, nu2):
+    """The V-cycle spelled out: sweeps from an explicit zero iterate and
+    restriction by the CSC transpose of P."""
+    lvl = h.levels[level]
+    if level == h.n_levels - 1:
+        return h.coarsest_solver.solve(g)
+    x = np.zeros_like(g)
+    for _ in range(nu1):
+        x = x + lvl.pre_smoother.action(g - lvl.a.mat @ x)
+    rc = lvl.p.matrix.mat.T @ (g - lvl.a.mat @ x)
+    x = x + lvl.p.matrix.mat @ reference_vcycle(h, level + 1, rc, nu1, nu2)
+    for _ in range(nu2):
+        x = x + lvl.post_smoother.action(g - lvl.a.mat @ x)
+    return x
+
+
+class TestLeanCycle:
+    @pytest.mark.parametrize("case", ["fd5", "fe_jump"])
+    def test_cycle_is_bitwise_the_reference(self, case):
+        if case == "fd5":
+            h = setup(problems.fd_poisson_5pt(64))
+        else:
+            h = setup(problems.fe_jump_coefficient(32, 1e-6)[0],
+                      {"coarsening": "pairwise", "interpolation": "ua"})
+        assert h.n_levels >= 3
+        n = h.levels[0].a.n_rows
+        rng = np.random.default_rng(7)
+        for g in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            for nu1, nu2 in ((1, 1), (2, 1), (0, 2)):
+                assert np.array_equal(vcycle_apply(h, g, nu1, nu2),
+                                      reference_vcycle(h, 0, g, nu1, nu2))
+
+    def test_stored_transpose(self):
+        h = setup(problems.fd_poisson_5pt(31))
+        for lvl in h.levels[:-1]:
+            assert lvl.pt.symmetry == sparse.GENERAL
+            assert np.array_equal(lvl.pt.toarray(), lvl.p.matrix.toarray().T)
+        assert h.levels[-1].pt is None
+
+
 def two_level_apply_correction(h, g, x):
-    p = h.levels[0].p.matrix
-    r = g - h.levels[0].a @ x
-    return sparse.spmv(p, h.coarsest_solver.solve(sparse.spmv_transpose(p, r)))
+    lvl = h.levels[0]
+    r = g - lvl.a @ x
+    return sparse.spmv(lvl.p.matrix, h.coarsest_solver.solve(sparse.spmv(lvl.pt, r)))
 
 
 class TestPcg:

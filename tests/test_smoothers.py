@@ -258,6 +258,22 @@ class TestBlockActions:
             assert got.shape == (a.n_rows, 3)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("name", ["jacobi", "gs", "sgs", "line-gs"])
+    @pytest.mark.parametrize("sweeps", [0, 1, 2])
+    def test_zero_start_equals_sweeps_from_zero(self, name, sweeps):
+        # apply from x=None makes its first sweep x = B b; bitwise the same
+        # as sweeping from an explicit zero iterate
+        a = problems.fe_anisotropic(6, 1e-2)
+        s = make_smoother(a, name)
+        rng = np.random.default_rng(6)
+        for b in (rng.standard_normal(a.n_rows), rng.standard_normal((a.n_rows, 3))):
+            want = np.zeros_like(b)
+            for _ in range(sweeps):
+                want = want + s.action(b - a.mat @ want)
+            got = s.apply(b, None, sweeps)
+            assert got.shape == b.shape
+            assert np.array_equal(got, want)
+
     def test_iterate_shape_must_match(self):
         with pytest.raises(ValueError, match="differ in shape"):
             GaussSeidel(A2).apply(np.zeros(2), np.zeros((2, 3)))

@@ -4,10 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from amgforge import problems, sparse
+from amgforge.hierarchy import Level
+from amgforge.interpolation import Prolongation
 from amgforge.sparse import (adjacency_graph, connected_components,
                              csr_from_triplets, from_dense, galerkin_product,
                              m_matrix_relative, restrict_to_indices, spmv,
-                             spmv_transpose, validate_sspd)
+                             validate_sspd)
 
 
 def tridiag(n):
@@ -59,9 +61,11 @@ class TestSpmv:
             spmv(tridiag(3), np.ones(4))
 
     def test_transpose(self):
-        a = csr_from_triplets(2, 3, [(0, 1, 2.0), (1, 2, -1.0)])
+        # restriction multiplies by the P^T a level stores
+        p = csr_from_triplets(2, 3, [(0, 1, 2.0), (1, 2, -1.0)])
+        lvl = Level(from_dense(np.eye(2)), Prolongation(p, "given"))
         x = np.array([1.0, 1.0])
-        assert np.array_equal(spmv_transpose(a, x), a.toarray().T @ x)
+        assert np.array_equal(spmv(lvl.pt, x), p.toarray().T @ x)
 
 
 class TestGalerkin:
