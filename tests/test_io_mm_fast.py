@@ -1,8 +1,11 @@
 """The gated fast read: scipy's mmread tokenizes plain coordinate bodies, and
 every other body goes to the Python parser with its messages and lines."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amgforge import io_mm, problems, sparse
 
@@ -28,7 +31,7 @@ def read(path, fast=True):
 
 def outcome(path, fast):
     try:
-        a, used = read(path, fast=fast)
+        a, _ = read(path, fast=fast)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None)
     return a.symmetry, a.mat.indptr.tobytes(), a.mat.indices.tobytes(), a.mat.data.tobytes()
@@ -73,6 +76,22 @@ def test_underscored_value_reads_as_python_does(tmp_path):
     a, used = read(path)
     assert not used
     assert np.array_equal(a.toarray(), [[10.0, 0.0], [0.0, 1.0]])
+
+
+PLAIN_LINE = re.compile(rb"[0-9]+ [0-9]+ -?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\n")
+NUMBER_CHARS = "0123456789+-.eE"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(1, 99).map(str) | st.text(NUMBER_CHARS, min_size=1, max_size=3),
+    st.integers(1, 99).map(str) | st.text(NUMBER_CHARS, min_size=1, max_size=3),
+    st.from_regex(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", fullmatch=True)
+    | st.text(NUMBER_CHARS, min_size=1, max_size=7)), min_size=1, max_size=4))
+def test_gate_accepts_exactly_plain_lines(entries):
+    lines = [f"{i} {j} {v}\n".encode() for i, j, v in entries]
+    want = all(PLAIN_LINE.fullmatch(ln) for ln in lines)
+    assert io_mm._plain_lines(b"".join(lines), len(lines)) == want
 
 
 def valid_files(tmp_path):
