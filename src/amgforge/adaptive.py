@@ -21,8 +21,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
-# Unused since Hierarchy.from_levels factors; perfbench/tracer.py patches this name.
-from .linalg import SymPseudoInverse  # noqa: F401
+# SymPseudoInverse is unused since Hierarchy.from_levels factors; perfbench/tracer.py patches it.
+from .linalg import SymPseudoInverse, _stack_by_size  # noqa: F401
 from .smoothers import make_smoother
 
 
@@ -49,38 +49,41 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     than ``s_max`` entries, the pattern grows along ``candidate_order``
     (nearest coarse dofs first).  Exact zeros are dropped at the end.
     Rank-deficient local problems fall back to the minimal-norm solution and
-    are flagged with a warning.
+    are flagged with a warning.  The rows of one pattern size are fitted
+    together, by one stacked SVD with ``lstsq``'s default rank cutoff.
     """
     psi_fine = np.atleast_2d(np.asarray(psi_fine, dtype=float).T).T
     psi_coarse = np.atleast_2d(np.asarray(psi_coarse, dtype=float).T).T
     if psi_fine.shape[1] != psi_coarse.shape[1]:
         raise ValueError("fine and coarse test-vector counts differ")
     n = psi_fine.shape[0]
-    n_c = psi_coarse.shape[0]
-    deficient = 0
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        allowed = list(pattern[i])
-        extra = [c for c in (candidate_order[i] if candidate_order else [])
-                 if c not in allowed]
-        while True:
-            basis = psi_coarse[allowed, :].T  # m x |allowed|
-            p_row, _, rank, _ = np.linalg.lstsq(basis, psi_fine[i], rcond=None)
-            resid = np.linalg.norm(basis @ p_row - psi_fine[i])
-            if rank < len(allowed):
-                deficient += 1
-            if resid <= eps_fit or len(allowed) >= s_max or not extra:
-                break
-            allowed.append(extra.pop(0))
-        for c, w in zip(allowed, p_row):
-            if abs(w) > 0.0:
-                rows.append(i)
-                cols.append(c)
-                vals.append(w)
+    # row i's allowed indices are the first width[i] of seqs[i]
+    seqs = [list(pattern[i]) + [c for c in (candidate_order[i] if candidate_order else [])
+                                if c not in pattern[i]] for i in range(n)]
+    width = np.array([len(pattern[i]) for i in range(n)], dtype=np.int64)
+    cap = np.minimum(s_max, [len(q) for q in seqs])
+    deficient, active, done = 0, np.arange(n), []
+    while active.size:
+        grow = []
+        for pos, idx in _stack_by_size([seqs[i][:width[i]] for i in active]):
+            fit_rows, rhs = active[pos], psi_fine[active[pos]]
+            basis = psi_coarse[idx].transpose(0, 2, 1)  # g x m x k
+            u, s, vt = np.linalg.svd(basis, full_matrices=False)
+            keep = s > np.finfo(float).eps * max(basis.shape[1:]) * s[:, :1]
+            deficient += int((keep.sum(axis=1) < idx.shape[1]).sum())
+            coef = np.where(keep, np.einsum("gmr,gm->gr", u, rhs) / np.where(keep, s, 1.0), 0.0)
+            p = np.einsum("grk,gr->gk", vt, coef)
+            resid = np.linalg.norm(np.einsum("gmk,gk->gm", basis, p) - rhs, axis=1)
+            more = ~(resid <= eps_fit) & (width[fit_rows] < cap[fit_rows])
+            grow.append(fit_rows[more])
+            done.append((np.repeat(fit_rows[~more], idx.shape[1]), idx[~more], p[~more]))
+        active = np.concatenate(grow)
+        width[active] += 1
     if deficient:
         warnings.warn(f"{deficient} rank-deficient row fits solved in the "
                       "minimal-norm sense", stacklevel=2)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n_c))
+    rows, cols, vals = (np.concatenate(part, axis=None) for part in zip(*done or [((),) * 3]))
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, psi_coarse.shape[0]))
     return interpolation.Prolongation(sparse.from_scipy(mat), builder)
 
 
@@ -108,25 +111,19 @@ def _restrict_asa(part, psi):
 
 
 def _aggregate_candidates(part, s):
-    """Per vertex, the aggregate ids within graph distance 2, nearest first."""
-    n = part.n
-    order = []
-    for v in range(n):
-        seen = {int(part.labels[v])}
-        ordered = [int(part.labels[v])]
-        frontier = [v]
-        for _ in range(2):
-            nxt = []
-            for u in frontier:
-                for w in s.neighbors(u):
-                    lab = int(part.labels[w])
-                    if lab not in seen:
-                        seen.add(lab)
-                        ordered.append(lab)
-                    nxt.append(int(w))
-            frontier = nxt
-        order.append(ordered)
-    return order
+    """Per vertex, the aggregate ids within graph distance 2, nearest first:
+    its own, its neighbors', then its neighbors' neighbors', first occurrences."""
+    n, ptr, nbr = part.n, s.graph.indptr, s.graph.indices
+    owner1 = np.repeat(np.arange(n), np.diff(ptr))  # vertex of each neighbor entry
+    hops = np.diff(ptr)[nbr]
+    d2 = nbr[np.repeat(ptr[nbr] - np.cumsum(hops) + hops, hops) + np.arange(hops.sum())]
+    owner = np.concatenate([np.arange(n), owner1, np.repeat(owner1, hops)])
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    labels = part.labels[np.concatenate([np.arange(n), nbr, d2])[order]]
+    first = np.sort(np.unique(owner * part.n_aggregates + labels, return_index=True)[1])
+    flat, cut = labels[first].tolist(), np.searchsorted(owner[first], np.arange(n + 1)).tolist()
+    return [flat[i:j] for i, j in zip(cut, cut[1:])]
 
 
 def _descend(a, psi, smoother_kind, q, n0, delta0, theta):

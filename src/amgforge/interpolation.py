@@ -282,10 +282,10 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
     lam, report = pcg_solve(op, constraint, tol=cg_tol, max_it=10 * n)
     if not report.converged:
         raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
-    rows, vals = zip(*b.local_solves(lam))
-    cols = np.repeat(np.arange(len(rows)), [r.size for r in rows])
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
-                        shape=(n, len(rows)))
+    pos, rows, vals = zip(*b.local_solves(lam))
+    cols = np.concatenate([np.repeat(p, r.shape[1]) for p, r in zip(pos, rows)])
+    mat = sp.csr_matrix((np.concatenate(vals, axis=None), (np.concatenate(rows, axis=None), cols)),
+                        shape=(n, len(supports.supports)))
     defect = np.abs(np.asarray(mat.sum(axis=1)).ravel() - constraint).max()
     if defect > 1e-8 * max(1.0, np.abs(constraint).max()):
         raise CGConvergenceError(f"partition-of-unity defect {defect:.2e}")
@@ -378,7 +378,7 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
         loc = [pos[owner][int(v)] for v in verts]
         local_mats[owner][np.ix_(loc, loc)] += np.asarray(block, dtype=float)
     pou_sum = np.zeros(n)
-    cols = []
+    cols = []  # per agglomerate, its m_per columns restricted to its vertices
     for j in range(n_agg):
         size = members[j].size
         if m_per > size:
@@ -389,12 +389,11 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
         _, vecs = scipy.linalg.eigh(a_j, np.diag(np.diag(a_j)))
         pou = np.diag(a_j) / global_diag[members[j]]
         pou_sum[members[j]] += pou
-        for k in range(m_per):
-            phi = np.zeros(n)
-            phi[members[j]] = pou * vecs[:, k]
-            cols.append(phi)
+        cols.append(pou[:, None] * vecs[:, :m_per])
     if np.abs(pou_sum - 1.0).max() > 1e-12:
         raise ValueError("partition-of-unity weights do not sum to one; "
                          "assembly and agglomerates are inconsistent")
-    basis = np.column_stack(cols)
-    return Prolongation(from_scipy(sp.csr_matrix(basis)), "spectral_amge")
+    blocks = sp.block_diag(cols).tocoo()  # rows follow the concatenated members
+    mat = sp.coo_matrix((blocks.data, (np.concatenate(members)[blocks.row], blocks.col)),
+                        shape=(n, n_agg * m_per))
+    return Prolongation(from_scipy(mat), "spectral_amge")

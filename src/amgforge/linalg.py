@@ -1,5 +1,5 @@
-"""Shared dense linear algebra: the dense cap and the one symmetric
-pseudo-inverse."""
+"""Shared dense linear algebra: the dense cap, the one symmetric
+pseudo-inverse and the size grouping of stacked local solves."""
 
 import numpy as np
 import scipy.linalg
@@ -49,3 +49,11 @@ class SymPseudoInverse:
         else:
             y *= self._inv_w[:, None]
         return self._v @ y
+
+
+def _stack_by_size(index_lists):
+    """Per list length k, ascending: the lists' positions and their (g, k) stack."""
+    sizes = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
+    for k in np.unique(sizes):
+        pos = np.flatnonzero(sizes == k)
+        yield pos, np.array([index_lists[p] for p in pos], dtype=np.int64).reshape(pos.size, k)

@@ -22,6 +22,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .linalg import _stack_by_size
+
 
 class SingularSmootherError(ValueError):
     pass
@@ -32,6 +34,17 @@ def _check_diagonal(a):
     if np.any(d == 0.0):
         raise SingularSmootherError("matrix has a zero diagonal entry")
     return d
+
+
+def _local_blocks(a, idx):
+    """The blocks A[idx[j]][:, idx[j]], from S A S' for S selecting idx."""
+    g, k = idx.shape
+    sel = sp.csr_matrix((np.ones(g * k), (np.arange(g * k), idx.ravel())), shape=(g * k, a.n_rows))
+    m = (sel @ a.mat @ sel.T).tocoo()
+    own = m.row // k == m.col // k
+    blocks = np.zeros((g, k, k))
+    blocks[m.row[own] // k, m.row[own] % k, m.col[own] % k] = m.data[own]
+    return blocks
 
 
 def _lower_solver(a, block_of, omega, ordering):
@@ -137,7 +150,8 @@ class SubspaceCorrection(Smoother):
     """Parallel subspace correction: B = sum_i I_i A_i^{-1} I_i'.
 
     Exact local solves on index-set subspaces that cover the unknowns and
-    may overlap; singleton subspaces reproduce unit-weight Jacobi.
+    may overlap; singleton subspaces reproduce unit-weight Jacobi.  Subspaces
+    of one size share one stack of local inverses and one batched Cholesky.
     """
 
     def __init__(self, a, subspaces):
@@ -149,24 +163,32 @@ class SubspaceCorrection(Smoother):
         if not covered.all():
             raise ValueError("subspaces must cover every index")
         self.subspaces = subspaces
-        self._factors = []
-        for k, idx in enumerate(subspaces):
-            sub = a.mat[idx][:, idx].toarray()
+        self._groups, singular = [], []
+        for pos, idx in _stack_by_size(subspaces):
+            blocks = _local_blocks(a, idx)
             try:
-                self._factors.append(scipy.linalg.cho_factor(sub))
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSmootherError(f"local block for subspace {k} is singular") from exc
+                linv = np.linalg.inv(np.linalg.cholesky(blocks))
+            except np.linalg.LinAlgError:
+                singular.append(next(p for p, blk in zip(pos, blocks)  # its first potrf failure
+                                     if scipy.linalg.lapack.dpotrf(blk, lower=True)[1]))
+                continue
+            self._groups.append((pos, idx, np.swapaxes(linv, 1, 2) @ linv))
+        if singular:
+            raise SingularSmootherError(f"local block for subspace {min(singular)} is singular")
+        stacked = np.concatenate([idx.ravel() for _, idx, _ in self._groups])
+        self._scatter = sp.csr_matrix((np.ones(stacked.size), (stacked, np.arange(stacked.size))),
+                                      shape=(self.n, stacked.size))
 
     def local_solves(self, g):
-        """Yield (I_i, A_i^{-1} I_i' g) for each subspace i in order."""
-        for idx, fac in zip(self.subspaces, self._factors):
-            yield idx, scipy.linalg.cho_solve(fac, g[idx])
+        """Yield (positions, I, Y) per size group: the subspaces' places, their
+        (s, k) stacked indices and Y[j] = A_j^{-1} I_j' g, shaped (s, k) + g.shape[1:]."""
+        cols = np.reshape(g, (self.n, -1))
+        for pos, idx, inv in self._groups:
+            yield pos, idx, (inv @ cols[idx]).reshape(idx.shape + np.shape(g)[1:])
 
     def action(self, g):
-        out = np.zeros(np.shape(g))
-        for idx, y in self.local_solves(g):
-            out[idx] += y
-        return out
+        ys = [y.reshape(idx.size, -1) for _, idx, y in self.local_solves(g)]
+        return (self._scatter @ np.concatenate(ys)).reshape(np.shape(g))
 
     def adjoint(self):
         return self

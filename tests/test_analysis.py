@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from amgforge.linalg import SymPseudoInverse
 from amgforge.smoothers import GaussSeidel, Jacobi, symmetrize
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
 from test_interpolation import random_m_matrix
+from test_stacked_local import reference_p
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
 
@@ -23,6 +25,28 @@ class TestErrorNorm:
     def test_zero_propagator(self):
         a = problems.laplace_1d(5)
         assert error_norm(a, lambda v: np.zeros_like(v)) == 0.0
+
+    def test_dense_peak_is_four_arrays(self):
+        # materialize's action on the identity holds four n x n arrays (the
+        # identity, the coarse-corrected block, A times it and the smoother's
+        # output); E'AE, its symmetrization and dense A stay below that, and
+        # 128 KiB covers the small work arrays
+        a = problems.fd_poisson_5pt(30)
+        n = a.n_rows
+        s = strength_matrix(a, StrengthConfig("classical_sym", 0.25))
+        p = interpolation.direct_interpolation(a, coarsening.mis(s), s)
+        e_action, _ = analysis.two_level_error_action(a, GaussSeidel(a), p)
+        tracemalloc.start()
+        try:
+            got = error_norm(a, e_action)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n + 2**17
+        e = analysis.materialize(e_action, n)
+        m = e.T @ (a.mat @ e)
+        want = scipy.linalg.eigh(0.5 * (m + m.T), a.toarray(), eigvals_only=True)[-1]
+        assert abs(got - np.sqrt(want)) <= 1e-15
 
     def test_materialize_refuses_vector_only_action(self):
         with pytest.raises(ValueError, match="not block-safe"):
@@ -382,8 +406,11 @@ def oracle_cases():
         "standard": interpolation.standard_interpolation(a, split, s),
         "ua": interpolation.ua_prolongation(part),
         "sa": interpolation.sa_prolongation(interpolation.ua_prolongation(part), a),
-        "energymin": interpolation.energy_min_prolongation(
-            a, interpolation.supports_from_aggregates(part, s)),
+        # this fe_aniso operator amplifies rounding in energy-min's local
+        # solves to ~1e-11 in P (CG stops at 1e-10), which the 1e-15 pin on
+        # e_norm_sq would read, so the oracle gets the P of the per-support
+        # solves it was pinned with; test_stacked_local checks the builder
+        "energymin": reference_p("energymin/fe_aniso_20"),
     }
     gs = smoothers.make_smoother(a, "gs")
     cases = {f"aniso/{name}/gs": (a, gs, p, None) for name, p in ps.items()}

@@ -399,6 +399,20 @@ class TestSpectralAmge:
         assert min(mus) >= 0.01
         assert max(mus) / min(mus) <= 1.5  # epsilon-independent
 
+    def test_no_dense_basis(self):
+        # a dense basis here is 1764 x 400 doubles (5.6 MB)
+        _, asm = problems.fe_jump_coefficient(40, 1e-6)
+        bary = np.array([asm.coords[list(v)].mean(axis=0) for v, _ in asm.elements])
+        patch = np.minimum((bary * 10).astype(int), 9)
+        tracemalloc.start()
+        try:
+            p = spectral_amge_coarse_space(asm, patch[:, 0] + 10 * patch[:, 1], 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.matrix.shape == (1764, 400)
+        assert peak <= 3e6
+
     def test_m_per_too_large(self):
         _, asm = problems.fe_jump_coefficient(1, 1.0)
         labels = np.zeros(len(asm.elements), dtype=np.int64)
