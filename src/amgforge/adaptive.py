@@ -110,19 +110,28 @@ def _restrict_asa(part, psi):
     return out
 
 
+def _first_per_row(ptr, vals, n_vals):
+    """Each CSR row's values (in [0, n_vals)) in first-occurrence order, as (ptr, vals)."""
+    rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    first = np.unique(rows * n_vals + vals, return_index=True)[1]
+    first.sort()
+    return np.searchsorted(first, ptr), vals[first]
+
+
 def _aggregate_candidates(part, s):
     """Per vertex, the aggregate ids within graph distance 2, nearest first:
     its own, its neighbors', then its neighbors' neighbors', first occurrences."""
     n, ptr, nbr = part.n, s.graph.indptr, s.graph.indices
-    owner1 = np.repeat(np.arange(n), np.diff(ptr))  # vertex of each neighbor entry
-    hops = np.diff(ptr)[nbr]
-    d2 = nbr[np.repeat(ptr[nbr] - np.cumsum(hops) + hops, hops) + np.arange(hops.sum())]
-    owner = np.concatenate([np.arange(n), owner1, np.repeat(owner1, hops)])
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    labels = part.labels[np.concatenate([np.arange(n), nbr, d2])[order]]
-    first = np.sort(np.unique(owner * part.n_aggregates + labels, return_index=True)[1])
-    flat, cut = labels[first].tolist(), np.searchsorted(owner[first], np.arange(n + 1)).tolist()
+    # closed neighborhoods, each vertex first, and their first labels
+    cptr = ptr + np.arange(n + 1)
+    closed = np.insert(nbr, ptr[:-1], np.arange(n, dtype=nbr.dtype))
+    near_ptr, near = _first_per_row(cptr, part.labels[closed], part.n_aggregates)
+    # vertex v walks the first labels of each u in its closed neighborhood
+    lens = np.diff(near_ptr)[closed]
+    at = np.cumsum(lens) - lens  # where each closed entry's labels start in the walk
+    walk = near[np.repeat(near_ptr[closed] - at, lens) + np.arange(lens.sum())]
+    cut, flat = _first_per_row(np.append(at, lens.sum())[cptr], walk, part.n_aggregates)
+    flat, cut = flat.tolist(), cut.tolist()
     return [flat[i:j] for i, j in zip(cut, cut[1:])]
 
 

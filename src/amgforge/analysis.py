@@ -70,11 +70,13 @@ def _p_matrix(p):
     return sp.csr_matrix(np.asarray(p, dtype=float))
 
 
-def _top_eigenvalue(m, b, **overwrite):
-    """Largest eigenvalue of the symmetric pencil (m, b), b positive definite."""
+def _top_eigenvalue(m, b, overwrite_b=False):
+    """Largest eigenvalue of the symmetric pencil (m, b), b positive definite;
+    ``overwrite_b`` lets the eigensolver work in b's memory."""
     k = m.shape[0]
-    return float(scipy.linalg.eigh(m, b, eigvals_only=True,
-                                   subset_by_index=[k - 1, k - 1], **overwrite)[0])
+    sym = 0.5 * (m + m.T)  # exactly symmetric, so sym.T is sym in the F order eigh works in
+    return float(scipy.linalg.eigh(sym.T, b, eigvals_only=True, subset_by_index=[k - 1, k - 1],
+                                   overwrite_a=True, overwrite_b=overwrite_b)[0])
 
 
 @dataclass
@@ -132,11 +134,10 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12,
         if u is not None:
             e = e @ u
         m = e.T @ (a.mat @ e)
-        del e  # at most two n x n arrays from here on
-        m = 0.5 * (m + m.T)  # exactly symmetric, so m.T is m in the F order eigh works in
+        del e  # materialize's arrays are gone before the pencil is solved
         a_u = a.mat.toarray(order="F") if u is None else np.asfortranarray(u.T @ (a.mat @ u))
         try:
-            lam = _top_eigenvalue(m.T, a_u, overwrite_a=True, overwrite_b=True)
+            lam = _top_eigenvalue(m, a_u, overwrite_b=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is singular on the tested space; pass its "
                              "kernel") from exc
@@ -256,8 +257,7 @@ def k_of_vc(a, rbar, p, kernel=None):
     u = f.complement
     # K >= 1 whenever range(P) is a proper subspace; the degenerate
     # full-space case (Q_c = identity) has rate 0, i.e. K = 1
-    m = _restrict(m, u)
-    return max(_top_eigenvalue(0.5 * (m + m.T), _restrict(f.a, u)), 1.0)
+    return max(_top_eigenvalue(_restrict(m, u), _restrict(f.a, u)), 1.0)
 
 
 def optimal_coarse_space(a, rbar, n_c):

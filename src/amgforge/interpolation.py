@@ -282,10 +282,10 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
     lam, report = pcg_solve(op, constraint, tol=cg_tol, max_it=10 * n)
     if not report.converged:
         raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
-    pos, rows, vals = zip(*b.local_solves(lam))
-    cols = np.concatenate([np.repeat(p, r.shape[1]) for p, r in zip(pos, rows)])
-    mat = sp.csr_matrix((np.concatenate(vals, axis=None), (np.concatenate(rows, axis=None), cols)),
-                        shape=(n, len(supports.supports)))
+    rows, vals = zip(*b.local_solves(lam))
+    cols = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                        shape=(n, len(rows)))
     defect = np.abs(np.asarray(mat.sum(axis=1)).ravel() - constraint).max()
     if defect > 1e-8 * max(1.0, np.abs(constraint).max()):
         raise CGConvergenceError(f"partition-of-unity defect {defect:.2e}")

@@ -7,6 +7,7 @@ import scipy.linalg
 # Largest order n of the dense n x n arrays the package forms on its own: the
 # analysis oracles, the SSPD spectrum check and the SA column-rank check.
 DENSE_CAP = 2000
+_STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
 
 
 class SymPseudoInverse:
@@ -52,8 +53,9 @@ class SymPseudoInverse:
 
 
 def _stack_by_size(index_lists):
-    """Per list length k, ascending: the lists' positions and their (g, k) stack."""
+    """Per list length k, ascending, in stacks of <= _STACK_ROWS: the positions and (g, k) stack."""
     sizes = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
     for k in np.unique(sizes):
-        pos = np.flatnonzero(sizes == k)
-        yield pos, np.array([index_lists[p] for p in pos], dtype=np.int64).reshape(pos.size, k)
+        same = np.flatnonzero(sizes == k)
+        for pos in np.split(same, range(_STACK_ROWS, same.size, _STACK_ROWS)):
+            yield pos, np.array([index_lists[p] for p in pos], dtype=np.int64).reshape(pos.size, k)

@@ -36,17 +36,6 @@ def _check_diagonal(a):
     return d
 
 
-def _local_blocks(a, idx):
-    """The blocks A[idx[j]][:, idx[j]], from S A S' for S selecting idx."""
-    g, k = idx.shape
-    sel = sp.csr_matrix((np.ones(g * k), (np.arange(g * k), idx.ravel())), shape=(g * k, a.n_rows))
-    m = (sel @ a.mat @ sel.T).tocoo()
-    own = m.row // k == m.col // k
-    blocks = np.zeros((g, k, k))
-    blocks[m.row[own] // k, m.row[own] % k, m.col[own] % k] = m.data[own]
-    return blocks
-
-
 def _lower_solver(a, block_of, omega, ordering):
     """Sparse LU of the block-lower triangle of A (the a_ij with block_of[i]
     >= block_of[j]), its diagonal blocks divided by omega."""
@@ -150,8 +139,9 @@ class SubspaceCorrection(Smoother):
     """Parallel subspace correction: B = sum_i I_i A_i^{-1} I_i'.
 
     Exact local solves on index-set subspaces that cover the unknowns and
-    may overlap; singleton subspaces reproduce unit-weight Jacobi.  Subspaces
-    of one size share one stack of local inverses and one batched Cholesky.
+    may overlap; singleton subspaces reproduce unit-weight Jacobi.  Blocks of one
+    size share one batched Cholesky; a local solve is cho_solve's own LAPACK
+    ``potrs``, keeping B's rounding, which the energy-min basis amplifies.
     """
 
     def __init__(self, a, subspaces):
@@ -163,32 +153,31 @@ class SubspaceCorrection(Smoother):
         if not covered.all():
             raise ValueError("subspaces must cover every index")
         self.subspaces = subspaces
-        self._groups, singular = [], []
+        self._factors, singular = {}, []
         for pos, idx in _stack_by_size(subspaces):
-            blocks = _local_blocks(a, idx)
+            k = idx.shape[1]
+            rows, cols = np.repeat(idx, k, axis=1).ravel(), np.tile(idx, k).ravel()
+            blocks = np.asarray(a.mat[rows, cols]).reshape(-1, k, k)
             try:
-                linv = np.linalg.inv(np.linalg.cholesky(blocks))
+                u = np.linalg.cholesky(blocks, upper=True)
             except np.linalg.LinAlgError:
                 singular.append(next(p for p, blk in zip(pos, blocks)  # its first potrf failure
-                                     if scipy.linalg.lapack.dpotrf(blk, lower=True)[1]))
+                                     if scipy.linalg.lapack.dpotrf(blk)[1]))
                 continue
-            self._groups.append((pos, idx, np.swapaxes(linv, 1, 2) @ linv))
+            self._factors.update(zip(pos.tolist(), np.ascontiguousarray(u.mT).mT))  # Fortran order
         if singular:
             raise SingularSmootherError(f"local block for subspace {min(singular)} is singular")
-        stacked = np.concatenate([idx.ravel() for _, idx, _ in self._groups])
-        self._scatter = sp.csr_matrix((np.ones(stacked.size), (stacked, np.arange(stacked.size))),
-                                      shape=(self.n, stacked.size))
 
     def local_solves(self, g):
-        """Yield (positions, I, Y) per size group: the subspaces' places, their
-        (s, k) stacked indices and Y[j] = A_j^{-1} I_j' g, shaped (s, k) + g.shape[1:]."""
-        cols = np.reshape(g, (self.n, -1))
-        for pos, idx, inv in self._groups:
-            yield pos, idx, (inv @ cols[idx]).reshape(idx.shape + np.shape(g)[1:])
+        """Yield (I_i, A_i^{-1} I_i' g) for each subspace i in order."""
+        for i, idx in enumerate(self.subspaces):
+            yield idx, scipy.linalg.lapack.dpotrs(self._factors[i], g[idx], overwrite_b=True)[0]
 
     def action(self, g):
-        ys = [y.reshape(idx.size, -1) for _, idx, y in self.local_solves(g)]
-        return (self._scatter @ np.concatenate(ys)).reshape(np.shape(g))
+        out = np.zeros(np.shape(g))
+        for idx, y in self.local_solves(g):
+            out[idx] += y
+        return out
 
     def adjoint(self):
         return self

@@ -16,7 +16,6 @@ from amgforge.linalg import SymPseudoInverse
 from amgforge.smoothers import GaussSeidel, Jacobi, symmetrize
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
 from test_interpolation import random_m_matrix
-from test_stacked_local import reference_p
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
 
@@ -406,11 +405,8 @@ def oracle_cases():
         "standard": interpolation.standard_interpolation(a, split, s),
         "ua": interpolation.ua_prolongation(part),
         "sa": interpolation.sa_prolongation(interpolation.ua_prolongation(part), a),
-        # this fe_aniso operator amplifies rounding in energy-min's local
-        # solves to ~1e-11 in P (CG stops at 1e-10), which the 1e-15 pin on
-        # e_norm_sq would read, so the oracle gets the P of the per-support
-        # solves it was pinned with; test_stacked_local checks the builder
-        "energymin": reference_p("energymin/fe_aniso_20"),
+        "energymin": interpolation.energy_min_prolongation(
+            a, interpolation.supports_from_aggregates(part, s)),
     }
     gs = smoothers.make_smoother(a, "gs")
     cases = {f"aniso/{name}/gs": (a, gs, p, None) for name, p in ps.items()}

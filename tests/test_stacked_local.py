@@ -1,18 +1,17 @@
-"""The size-grouped local dense solves against the per-block code they
-replaced: the bootstrap least-squares fit and the energy-min operator."""
+"""The size-grouped local dense algebra against the per-block code it
+replaced: the bootstrap least-squares fit and the energy-min operator's
+local factors."""
 
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from amgforge import coarsening, problems, sparse
 from amgforge.adaptive import bootstrap_setup, ls_fit_prolongation
-from amgforge.interpolation import (Prolongation, energy_min_prolongation,
-                                    supports_from_aggregates)
+from amgforge.interpolation import energy_min_prolongation, supports_from_aggregates
 from amgforge.smoothers import SingularSmootherError, SubspaceCorrection
 from amgforge.strength import StrengthConfig, strength_matrix
 
@@ -21,9 +20,6 @@ ENERGY_MIN_CASES = {
     "fd5_64": lambda: problems.fd_poisson_5pt(64),
     "fe_aniso_20": lambda: problems.fe_anisotropic(20, 1e-3),
 }
-# entrywise limit on |P - P_ref|: the fe_aniso operator is ill-conditioned
-# enough that the CG tolerance (1e-10), not the local solves, sets it
-ENERGY_MIN_TOL = {"fd5_64": 1e-12, "fe_aniso_20": 1e-9}
 
 
 def bootstrap_ps(seed):
@@ -55,16 +51,8 @@ def reference_arrays():
 
 
 # written by reference_arrays() with the per-row lstsq fit and the
-# per-support cho_solve operator that preceded the stacked solves
+# per-support cho_factor operator that preceded the stacked code
 REFERENCE = Path(__file__).parent / "data" / "stacked_local_reference.npz"
-
-
-def reference_p(key, builder="energymin"):
-    """A reference P as the Prolongation the preceding code built."""
-    with np.load(REFERENCE) as ref:
-        mat = sps.csr_matrix((ref[key + "/data"], ref[key + "/indices"], ref[key + "/indptr"]),
-                             shape=tuple(ref[key + "/shape"]))
-    return Prolongation(sparse.from_scipy(mat), builder)
 
 
 def assert_matches(ref, key, got, tol):
@@ -87,7 +75,7 @@ def test_bootstrap_p_matches_reference(seed):
 @pytest.mark.parametrize("case", sorted(ENERGY_MIN_CASES))
 def test_energy_min_p_matches_reference(case):
     with np.load(REFERENCE) as ref:
-        assert_matches(ref, f"energymin/{case}", energy_min_p(case), ENERGY_MIN_TOL[case])
+        assert_matches(ref, f"energymin/{case}", energy_min_p(case), 1e-12)
 
 
 def lstsq_row_fit(psi_fine, psi_coarse, pattern, s_max, eps_fit, candidate_order):
