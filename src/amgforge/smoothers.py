@@ -150,8 +150,8 @@ class SubspaceCorrection(Smoother):
         covered = np.zeros(self.n, dtype=bool)
         for s in subspaces:
             covered[s] = True
-        if not covered.all():
-            raise ValueError("subspaces must cover every index")
+        if not covered.all() or not all(map(len, subspaces)):
+            raise ValueError("subspaces must be non-empty and cover every index")
         self.subspaces = subspaces
         self._factors, singular = {}, []
         for pos, idx in _stack_by_size(subspaces):

@@ -145,6 +145,8 @@ class TestSubspaceCorrection:
     def test_cover_required(self):
         with pytest.raises(ValueError):
             SubspaceCorrection(A2, [[0]])
+        with pytest.raises(ValueError, match="non-empty"):
+            SubspaceCorrection(A2, [[0, 1], []])
 
     def test_singular_block_named(self):
         bad = sparse.from_dense([[1.0, 0, 0], [0, 1, 1], [0, 1, 1]], sparse.SYMMETRIC)
