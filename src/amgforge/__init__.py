@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``sparse``         CSR kernels, graphs, M-matrix relatives, SSPD checks
+- ``sparse``         CSR kernels, graphs, M-matrix relatives
 - ``io_mm``          Matrix Market reader/writer
 - ``problems``       deterministic model matrices and closed-form spectra
 - ``smoothers``      Jacobi/Gauss-Seidel/block relaxation, symmetrization, PSC/SSC

@@ -326,10 +326,10 @@ def asa_add_vector(state, psi):
                    flags=list(state.flags))
 
 
-def asa_initial_state(a, partitions, psi0, smoother="gs", q=4):
-    """Seed an aggregation-based adaptive state from fixed per-level aggregates."""
+def asa_initial_state(a, partitions, psi0):
+    """Seed an aggregation-based adaptive state from fixed per-level
+    aggregates, Gauss-Seidel smoothed; delta is measured over 4 V-cycles."""
     psi0 = np.atleast_2d(np.asarray(psi0, dtype=float).T).T
-    h, vectors = _asa_hierarchy(a, partitions, psi0, smoother)
-    delta, _ = _cycle_delta(a, h, psi0, q)
-    return AdaptiveState(h, vectors, list(partitions), delta, [delta],
-                         smoother=smoother, q=q)
+    h, vectors = _asa_hierarchy(a, partitions, psi0, "gs")
+    delta, _ = _cycle_delta(a, h, psi0, 4)
+    return AdaptiveState(h, vectors, list(partitions), delta, [delta])

@@ -95,10 +95,9 @@ def load_config(path=None, overrides=()):
     return resolved
 
 
-def echo_config(cfg, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def echo_config(cfg):
     for key in sorted(cfg):
-        stream.write(f"# config {key}={cfg[key]}\n")
+        print(f"# config {key}={cfg[key]}")
 
 
 def setup_config_from(cfg):
@@ -150,6 +149,9 @@ def cmd_solve(args):
     if args.rhs:
         b = io_mm.read_matrix_market(args.rhs)
         b = np.asarray(b, dtype=float).ravel()
+        if b.size != a.n_rows:
+            raise UsageError(f"right-hand side has {b.size} entries; "
+                             f"the matrix has {a.n_rows} rows")
     else:
         rng = np.random.default_rng(int(cfg["problem_seed"]))
         x_exact = rng.standard_normal(a.n_rows)
@@ -235,7 +237,7 @@ def cmd_adapt(args):
     _, state = adaptive.bootstrap_setup(
         a, smoother=cfg["smoother"], m0=int(cfg["m0"]), q=int(cfg["q"]),
         n0=int(cfg["n0"]), delta0=cfg["delta0"], max_rounds=int(cfg["rounds"]),
-        seed=int(cfg["seed"]))
+        seed=int(cfg["seed"]), theta=cfg["theta"])
     if args.csv:
         print("round,delta")
         for k, d in enumerate(state.delta_history):

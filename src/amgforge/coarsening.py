@@ -188,13 +188,13 @@ def pairwise_aggregate(a, passes=1):
     return AggregatePartition(composed, sub.n_aggregates)
 
 
-def aggressive_coarsen(s, m, l, order=None):
+def aggressive_coarsen(s, m, l):
     """MIS over the union of S and its (m, l) path power.
 
     Keeping the original edges in the union guarantees every fine vertex
     still reaches a coarse vertex inside S itself.
     """
-    return mis(union(s, strength_power(s, m, l)), order)
+    return mis(union(s, strength_power(s, m, l)))
 
 
 @dataclass
@@ -230,15 +230,14 @@ def _f_contraction(a_ff, smoother_factory, seed, steps=10):
     return rho
 
 
-def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, theta_cr=0.5,
-              nu=4, max_rounds=5, seed=0):
+def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, max_rounds=5, seed=0):
     """Compatible-relaxation refinement of a C/F splitting.
 
     Measures the contraction of the smoother restricted to the fine
     variables; while it exceeds ``delta_f``, relaxes a seeded random fine
-    vector ``nu`` sweeps, collects slow-to-converge candidates and promotes
-    an independent subset of them to C.  The inner MIS runs on the strength
-    subgraph induced by the candidate set.
+    vector 4 sweeps, collects the slow-to-converge candidates (entries above
+    half the largest) and promotes an independent subset of them to C.  The
+    inner MIS runs on the strength subgraph induced by the candidate set.
     """
     report = CRReport()
     coarse = split.is_coarse.copy()
@@ -255,9 +254,8 @@ def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, theta_cr=0.5,
             report.converged = rho <= delta_f
             break
         smoother = smoother_factory(a_ff)
-        v = smoother.apply(np.zeros(fine.size), rng.uniform(-1.0, 1.0, fine.size), sweeps=nu)
-        cutoff = theta_cr * np.abs(v).max()
-        candidates = fine[np.abs(v) > cutoff]
+        v = smoother.apply(np.zeros(fine.size), rng.uniform(-1.0, 1.0, fine.size), sweeps=4)
+        candidates = fine[np.abs(v) > 0.5 * np.abs(v).max()]
         if candidates.size == 0:
             report.converged = False
             break

@@ -6,6 +6,7 @@ symmetric and therefore admissible as a PCG preconditioner.  Coarsest-level
 solves use the package-wide symmetric pseudo-inverse convention.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, fields
 
@@ -240,10 +241,6 @@ def vcycle_apply(h, g, nu1=1, nu2=1):
     return _vcycle(h, 0, np.asarray(g, dtype=float), nu1, nu2)
 
 
-def vcycle_preconditioner(h, nu1=1, nu2=1):
-    return lambda g: vcycle_apply(h, g, nu1, nu2)
-
-
 def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=None):
     """Preconditioned conjugate gradients with optional kernel projection.
 
@@ -253,7 +250,7 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     ``x0`` raises ValueError before any iteration.
     """
     if isinstance(preconditioner, Hierarchy):
-        preconditioner = vcycle_preconditioner(preconditioner)
+        preconditioner = functools.partial(vcycle_apply, preconditioner)
     elif preconditioner is None:
         preconditioner = lambda g: g
     b = np.asarray(b, dtype=float)

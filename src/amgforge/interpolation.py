@@ -45,10 +45,10 @@ class Prolongation:
         return self.matrix.toarray()
 
 
-def verify_full_rank(p, tol=1e-10):
-    """Desk-scale rank check via the smallest singular value."""
+def verify_full_rank(p):
+    """Desk-scale rank check: the smallest singular value exceeds 1e-10."""
     s = np.linalg.svd(p.toarray(), compute_uv=False)
-    return bool(s.size and s[-1] > tol)
+    return bool(s.size and s[-1] > 1e-10)
 
 
 def _assemble_cf(w, split, builder):

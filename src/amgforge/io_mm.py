@@ -26,7 +26,7 @@ class MatrixMarketError(ValueError):
         self.line_no = line_no
 
 
-def write_matrix_market(path, a, comment=None):
+def write_matrix_market(path, a):
     """Write a SparseMatrix; symmetric matrices keep only i >= j entries."""
     coo = a.mat.tocoo()
     symmetric = a.symmetry == sparse.SYMMETRIC
@@ -41,18 +41,14 @@ def write_matrix_market(path, a, comment=None):
     with open(path, "w") as f:
         kind = "symmetric" if symmetric else "general"
         f.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
-        if comment:
-            f.write(f"%{comment}\n")
         f.write(f"{a.n_rows} {a.n_cols} {len(vals)}\n")
         f.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in entries]))
 
 
-def write_vector(path, x, comment=None):
+def write_vector(path, x):
     x = np.asarray(x, dtype=float)
     with open(path, "w") as f:
         f.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            f.write(f"%{comment}\n")
         f.write(f"{x.size} 1\n")
         f.write("".join([f"{v:.17g}\n" for v in x.tolist()]))
 
@@ -251,8 +247,11 @@ def read_matrix_market(path):
         raise MatrixMarketError("non-integer size entry", size_no) from None
     values = []
     for no, ln in _content(body.split("\n"), size_no + 1):
+        fields = ln.split()
+        if len(fields) != 1:
+            raise MatrixMarketError(f"array line must hold one value, found {len(fields)}", no)
         try:
-            values.append(float(ln.split()[0]))
+            values.append(float(fields[0]))
         except ValueError:
             raise MatrixMarketError("malformed array value", no) from None
     if len(values) != n_rows * n_cols:

@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg
 
 # Largest order n of the dense n x n arrays the package forms on its own: the
-# analysis oracles, the SSPD spectrum check and the SA column-rank check.
+# analysis oracles and the SA column-rank check.
 DENSE_CAP = 2000
 _STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
 

@@ -144,12 +144,6 @@ def fe_jump_coefficient(n, epsilon):
     return assembly.assemble(), assembly
 
 
-def interior_indices(n):
-    """Interior node indices of the (n+2)^2 FE grid, lexicographic."""
-    m = n + 2
-    return np.array([j * m + i for j in range(1, n + 1) for i in range(1, n + 1)])
-
-
 def exact_spectrum_5pt(n):
     """Closed-form Dirichlet 5-point eigenvalues, sorted ascending."""
     return exact_spectrum_anisotropic(n, 1.0)

@@ -6,13 +6,11 @@ sorted, explicit zeros dropped) so sparsity patterns are value-determined.
 Kernels are delegated to scipy.sparse behind this surface.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-
-from .linalg import DENSE_CAP, SymPseudoInverse
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -40,10 +38,6 @@ class SparseMatrix:
     @property
     def shape(self):
         return self.mat.shape
-
-    @property
-    def col_idx(self):
-        return self.mat.indices
 
     @property
     def values(self):
@@ -92,28 +86,6 @@ def from_scipy(mat, symmetry=GENERAL):
 
 def from_dense(a, symmetry=GENERAL):
     return from_scipy(sp.csr_matrix(np.asarray(a, dtype=float)), symmetry)
-
-
-def csr_from_triplets(n_rows, n_cols, entries, symmetry=GENERAL):
-    """Assemble from (i, j, value) triplets; duplicates are summed.
-
-    Raises IndexError when any index falls outside [0, n_rows) x [0, n_cols).
-    """
-    entries = list(entries)
-    if entries:
-        rows = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
-        cols = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
-        vals = np.fromiter((e[2] for e in entries), dtype=float, count=len(entries))
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=float)
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise IndexError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-        raise IndexError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return from_scipy(coo, symmetry)
 
 
 def spmv(a, x):
@@ -216,61 +188,6 @@ def m_matrix_relative(a):
     vals = np.concatenate([coo.data[keep], compensation])
     out = sp.coo_matrix((vals, (rows, cols)), shape=a.shape)
     return from_scipy(out, SYMMETRIC)
-
-
-@dataclass
-class SspdReport:
-    """Outcome of the symmetric semi-positive-definiteness check."""
-
-    symmetric: bool
-    positive_diagonal: bool
-    is_sspd: bool
-    kernel_dim: int = 0
-    lambda_min: float = float("nan")
-    lambda_max: float = float("nan")
-    checked_spectrum: bool = False
-    kernel_matches_hint: bool | None = None
-    notes: list = field(default_factory=list)
-
-
-def validate_sspd(a, kernel_hint=None, tol=1e-10):
-    """Report-only SSPD validation (never raises).
-
-    Symmetry is checked bit-exactly; the spectrum is examined densely only
-    for n <= DENSE_CAP.  ``kernel_hint`` columns, when given, are tested for
-    membership in the numerical kernel.
-    """
-    if not a.is_square():
-        return SspdReport(False, False, False, notes=["matrix is not square"])
-    dense_sym = (a.mat - a.mat.T).nnz == 0
-    diag = a.diagonal()
-    pos_diag = bool(np.all(diag > 0.0))
-    report = SspdReport(dense_sym, pos_diag, False)
-    if not dense_sym:
-        report.notes.append("symmetry failure: a_ij != a_ji for some stored pair")
-        return report
-    if a.n_rows <= DENSE_CAP:
-        pinv = SymPseudoInverse(a.toarray())
-        w = pinv.eigenvalues
-        report.lambda_min = float(w[0])
-        report.lambda_max = float(w[-1])
-        report.kernel_dim = pinv.kernel_dim
-        report.checked_spectrum = True
-        semi_definite = w[0] >= -tol * max(abs(w[-1]), 1.0e-300)
-        report.is_sspd = semi_definite and pos_diag
-        if not semi_definite:
-            report.notes.append(f"indefinite: lambda_min={w[0]:.3e}")
-        if kernel_hint is not None:
-            z = np.atleast_2d(np.asarray(kernel_hint, dtype=float).T).T
-            resid = np.linalg.norm(a.toarray() @ z, axis=0)
-            scale = np.linalg.norm(z, axis=0) * max(abs(w[-1]), 1.0)
-            report.kernel_matches_hint = bool(np.all(resid <= 1e-8 * scale))
-    else:
-        report.is_sspd = pos_diag
-        report.notes.append("spectrum not checked (n exceeds dense cap)")
-    if not pos_diag:
-        report.notes.append("nonpositive diagonal entry")
-    return report
 
 
 def restrict_to_indices(a, keep):

@@ -77,17 +77,6 @@ def _abs_row_mean(a):
     return sums / counts
 
 
-def strength_value(a, i, j, variant="classical_sym"):
-    """Symmetric strength s_c(i, j) of one stored off-diagonal pair."""
-    if i == j:
-        raise ValueError("strength is defined for i != j")
-    rows, cols, s = _pairwise_values(a, variant)
-    hit = np.flatnonzero((rows == i) & (cols == j))
-    if not hit.size:
-        raise ValueError("pair (i, j) is not stored in A")
-    return float(s[hit[0]])
-
-
 def _pairwise_values(a, variant):
     """Sparse symmetric matrix of s_c values on the off-diagonal pattern of A."""
     coo = a.mat.tocoo()

@@ -69,8 +69,7 @@ def test_02_two_level_rate_identity():
         s = strength_matrix(a, StrengthConfig("classical_sym", 0.25))
         for p in _builder_matrix(a, s):
             for smoother in (GaussSeidel(a), Jacobi(a, 0.6)):
-                e2 = analysis.two_level_error_norm(a, smoother, p,
-                                                   kernel=kernel, block=8) ** 2
+                e2 = analysis.two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
                 k = analysis.k_of_vc(a, symmetrize(smoother), p, kernel=kernel)
                 worst = max(worst, abs(e2 - (1.0 - 1.0 / k)))
                 count += 1
@@ -86,7 +85,7 @@ def test_03_optimal_coarse_space():
     gs = GaussSeidel(a)
     rbar = symmetrize(gs)
     p_opt, mu = analysis.optimal_coarse_space(a, rbar, 7)
-    rate = analysis.two_level_error_norm(a, gs, p_opt, block=8) ** 2
+    rate = analysis.two_level_error_norm(a, gs, p_opt) ** 2
     gap = abs(rate - (1.0 - mu[7]))
     rng = np.random.default_rng(100)
     margin = min(analysis.k_of_vc(a, rbar, rng.standard_normal((15, 7)))
@@ -103,7 +102,7 @@ def test_04_trace_minimization():
     p_opt, mu = analysis.optimal_coarse_space(a, rbar, 7)
     rng = np.random.default_rng(101)
     cands = [rng.standard_normal((15, 7)) for _ in range(50)]
-    rep = analysis.trace_check(a, rbar, p_opt, cands, tol=1e-9)
+    rep = analysis.trace_check(a, rbar, p_opt, cands)
     ok = rep.optimal_attains and rep.all_above
     worst = min(rep.candidate_traces) - rep.bound
     report(4, "trace minimization", ok,

@@ -146,6 +146,17 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "non-finite" in capsys.readouterr().err
 
+    def test_rhs_length_mismatch_refused_before_setup(self, tmp_path, capsys):
+        out, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        main(["generate", "--set", "kind=fd5", "--set", "n=4", "--out", str(out)])
+        io_mm.write_vector(rhs, np.ones(3))
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(out), "--rhs", str(rhs)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "right-hand side has 3 entries; the matrix has 16 rows" in captured.err
+        assert "# levels=" not in captured.out
+
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         main(["generate", "--set", "kind=fd5", "--set", "n=8", "--out", str(out)])
@@ -227,6 +238,16 @@ class TestAdapt:
         assert code == EXIT_NONCONVERGENCE
         assert "smoother=line-gs" in err and "no grid lines" in err
         assert "coarsening=" not in err and "theta" not in err
+
+    def test_theta_reaches_bootstrap(self, capsys):
+        finals = []
+        for theta in ("0.25", "0.9"):
+            code = main(["adapt", "--set", "kind=fe_jump", "--set", "n=20",
+                         "--set", "epsilon=1e-3", "--set", f"theta={theta}"])
+            out = capsys.readouterr().out
+            assert code == EXIT_OK
+            finals.append(out.splitlines()[-1])
+        assert finals[0] != finals[1]
 
     def test_delta_history_emitted(self, capsys):
         code = main(["adapt", "--set", "kind=fd5", "--set", "n=8",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amgforge import adaptive, analysis, hierarchy, problems, smoothers, sparse
 from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
@@ -7,6 +8,7 @@ from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
                                 setup, two_level_apply, vcycle_apply)
 from amgforge.linalg import SymPseudoInverse
 
+from test_analysis import MODEL_FAMILIES
 from tests_support import elasticity_like, point_block_partition
 
 
@@ -175,6 +177,24 @@ class TestVCycle:
         measured = analysis.error_norm(a, lambda v: e_mat @ v,
                                        lambda v: e_mat.T @ v)
         assert abs(measured - e_rate) <= 2e-3
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(MODEL_FAMILIES), st.integers(3, 18), st.floats(1e-6, 1.0),
+       st.sampled_from([{}, {"coarsening": "pairwise", "interpolation": "ua"},
+                        {"coarsening": "aggregate", "interpolation": "sa"}]),
+       st.integers(0, 2**32 - 1))
+def test_vcycle_spd_and_galerkin_bit_symmetric(family, n, eps, config, seed):
+    # the V(1,1) operator B is symmetric and positive on random probes, and
+    # every coarse operator P^T A P is exactly symmetric
+    a = problems.build(problems.ProblemSpec(family[0], n, eps, family[1]))
+    h = setup(a, config)
+    for lvl in h.levels:
+        assert (lvl.a.mat != lvl.a.mat.T).nnz == 0
+    x = np.random.default_rng(seed).standard_normal((a.n_rows, 4))
+    m = x.T @ vcycle_apply(h, x)
+    assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+    assert (np.diag(m) > 0.0).all()
 
 
 def reference_vcycle(h, level, g, nu1, nu2):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from amgforge import io_mm, problems, sparse
 
@@ -25,7 +26,7 @@ def test_symmetric_file_stores_lower_triangle(tmp_path):
 
 
 def test_roundtrip_general(tmp_path):
-    a = sparse.csr_from_triplets(2, 3, [(0, 2, 1.5), (1, 0, -2.0)])
+    a = sparse.from_scipy(sp.coo_matrix(([1.5, -2.0], ([0, 1], [2, 0])), shape=(2, 3)))
     path = tmp_path / "g.mtx"
     io_mm.write_matrix_market(path, a)
     back = io_mm.read_matrix_market(path)
@@ -37,6 +38,14 @@ def test_vector_roundtrip(tmp_path):
     path = tmp_path / "v.mtx"
     io_mm.write_vector(path, x)
     assert np.array_equal(io_mm.read_matrix_market(path), x)
+
+
+def test_array_line_with_two_values_rejected(tmp_path):
+    path = tmp_path / "v2.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n3 1\n1.0 7.0\n2.0\n3.0\n")
+    with pytest.raises(io_mm.MatrixMarketError, match="one value, found 2") as err:
+        io_mm.read_matrix_market(path)
+    assert err.value.line_no == 3
 
 
 def test_bad_header_names_line(tmp_path):
@@ -75,12 +84,12 @@ def test_deterministic_bytes(tmp_path):
 def test_pinned_bytes(tmp_path):
     # literal expected files: any rewrite of the writers must keep these bytes
     path = tmp_path / "s.mtx"
-    io_mm.write_matrix_market(path, problems.fe_anisotropic(2, 0.5), comment="pinned")
+    io_mm.write_matrix_market(path, problems.fe_anisotropic(2, 0.5))
     assert path.read_text() == (
-        "%%MatrixMarket matrix coordinate real symmetric\n%pinned\n4 4 8\n"
+        "%%MatrixMarket matrix coordinate real symmetric\n4 4 8\n"
         "1 1 3\n2 1 -1\n3 1 -0.5\n2 2 3\n4 2 -0.5\n3 3 3\n4 3 -1\n4 4 3\n")
-    g = sparse.csr_from_triplets(2, 3, [(0, 2, 1.5), (1, 0, -2.0), (1, 2, 1 / 3),
-                                        (0, 0, 1e-300)])
+    g = sparse.from_scipy(sp.coo_matrix(([1.5, -2.0, 1 / 3, 1e-300], ([0, 1, 1, 0], [2, 0, 2, 0])),
+                                        shape=(2, 3)))
     io_mm.write_matrix_market(path, g)
     assert path.read_text() == (
         "%%MatrixMarket matrix coordinate real general\n2 3 4\n"

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from amgforge import io_mm, problems, sparse
@@ -100,11 +101,13 @@ def valid_files(tmp_path):
     than 16 entries."""
     paths = []
     for k, a in enumerate([problems.fd_poisson_5pt(3), problems.laplace_1d(3),
-                           sparse.csr_from_triplets(2, 3, [(0, 2, 1.5), (1, 0, -2.0)]),
+                           sparse.from_scipy(sp.coo_matrix(([1.5, -2.0], ([0, 1], [2, 0])),
+                                                           shape=(2, 3))),
                            problems.fe_anisotropic(3, 0.5),
                            problems.fe_anisotropic(2, 0.5),
-                           sparse.csr_from_triplets(2, 3, [(0, 2, 1.5), (1, 0, -2.0),
-                                                           (1, 2, 1 / 3), (0, 0, 1e-300)])]):
+                           sparse.from_scipy(sp.coo_matrix(
+                               ([1.5, -2.0, 1 / 3, 1e-300], ([0, 1, 1, 0], [2, 0, 2, 0])),
+                               shape=(2, 3)))]):
         paths.append(tmp_path / f"w{k}.mtx")
         io_mm.write_matrix_market(paths[-1], a)
     rng = np.random.default_rng(8)

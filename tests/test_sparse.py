@@ -1,46 +1,49 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from amgforge import problems, sparse
 from amgforge.hierarchy import Level
 from amgforge.interpolation import Prolongation
-from amgforge.sparse import (adjacency_graph, connected_components,
-                             csr_from_triplets, from_dense, galerkin_product,
-                             m_matrix_relative, restrict_to_indices, spmv,
-                             validate_sspd)
+from amgforge.sparse import (adjacency_graph, connected_components, from_dense,
+                             galerkin_product, m_matrix_relative,
+                             restrict_to_indices, spmv)
 
 
 def tridiag(n):
     return problems.laplace_1d(n)
 
 
+def from_triplets(n_rows, n_cols, entries, symmetry=sparse.GENERAL):
+    """``from_scipy`` of a COO matrix of (i, j, value) triplets."""
+    rows, cols, vals = zip(*entries)
+    return sparse.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)),
+                             symmetry)
+
+
 class TestTriplets:
     def test_direct_construction(self):
-        a = csr_from_triplets(2, 2, [(0, 0, 2), (0, 1, -1), (1, 0, -1), (1, 1, 2)])
+        a = from_triplets(2, 2, [(0, 0, 2), (0, 1, -1), (1, 0, -1), (1, 1, 2)])
         assert np.array_equal(a.toarray(), [[2, -1], [-1, 2]])
 
     def test_duplicates_summed(self):
-        a = csr_from_triplets(1, 1, [(0, 0, 1), (0, 0, 1)])
+        a = from_triplets(1, 1, [(0, 0, 1), (0, 0, 1)])
         assert a.toarray() == [[2.0]]
         assert a.nnz == 1
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            csr_from_triplets(2, 2, [(0, 5, 1)])
-
     def test_explicit_zeros_dropped(self):
-        a = csr_from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 1.0), (0, 1, 1.0), (0, 1, -1.0)])
+        a = from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 1.0), (0, 1, 1.0), (0, 1, -1.0)])
         assert a.nnz == 1
 
     def test_rows_sorted(self):
-        a = csr_from_triplets(1, 4, [(0, 3, 1), (0, 0, 2), (0, 2, 3)])
-        assert np.array_equal(a.col_idx, [0, 2, 3])
+        a = from_triplets(1, 4, [(0, 3, 1), (0, 0, 2), (0, 2, 3)])
+        assert np.array_equal(a.mat.indices, [0, 2, 3])
 
     def test_symmetry_tag_checked(self):
         with pytest.raises(ValueError):
-            csr_from_triplets(2, 2, [(0, 1, 1.0)], symmetry=sparse.SYMMETRIC)
+            from_triplets(2, 2, [(0, 1, 1.0)], symmetry=sparse.SYMMETRIC)
 
 
 class TestSpmv:
@@ -62,7 +65,7 @@ class TestSpmv:
 
     def test_transpose(self):
         # restriction multiplies by the P^T a level stores
-        p = csr_from_triplets(2, 3, [(0, 1, 2.0), (1, 2, -1.0)])
+        p = from_triplets(2, 3, [(0, 1, 2.0), (1, 2, -1.0)])
         lvl = Level(from_dense(np.eye(2)), Prolongation(p, "given"))
         x = np.array([1.0, 1.0])
         assert np.array_equal(spmv(lvl.pt, x), p.toarray().T @ x)
@@ -199,32 +202,15 @@ class TestMMatrixRelative:
         assert ratio.max() <= 3.0
 
 
-class TestValidateSspd:
-    def test_neumann_path(self):
-        report = validate_sspd(problems.laplace_1d(6, "neumann"),
-                               kernel_hint=np.ones((6, 1)))
-        assert report.is_sspd and report.kernel_dim == 1
-        assert report.kernel_matches_hint
-
-    def test_dirichlet_spd(self):
-        report = validate_sspd(problems.fd_poisson_5pt(3))
-        assert report.is_sspd and report.kernel_dim == 0
-
-    def test_asymmetric_reported(self):
-        a = csr_from_triplets(2, 2, [(0, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, 2)])
-        report = validate_sspd(a)
-        assert not report.symmetric and not report.is_sspd
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(list(range(10))))
 def test_adjacency_invariant_under_triplet_order(perm):
     base = [(0, 1, -1.0), (1, 0, -1.0), (1, 2, -2.0), (2, 1, -2.0), (3, 4, 1.0),
             (4, 3, 1.0), (0, 0, 2.0), (1, 1, 4.0), (2, 2, 2.0), (3, 3, 1.0)]
     trips = [base[i] for i in perm]
-    a = csr_from_triplets(5, 5, trips + [(4, 4, 1.0)])
+    a = from_triplets(5, 5, trips + [(4, 4, 1.0)])
     g = adjacency_graph(a)
-    ref = adjacency_graph(csr_from_triplets(5, 5, base + [(4, 4, 1.0)]))
+    ref = adjacency_graph(from_triplets(5, 5, base + [(4, 4, 1.0)]))
     assert np.array_equal(g.indptr, ref.indptr)
     assert np.array_equal(g.indices, ref.indices)
 
@@ -237,8 +223,6 @@ def test_restrict_to_indices():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_rejected(bad):
-    import scipy.sparse as sp
-
     dense = np.array([[2.0, -1.0], [-1.0, bad]])
     with pytest.raises(ValueError, match="non-finite"):
         sparse.from_scipy(sp.csr_matrix(dense))
@@ -247,8 +231,6 @@ def test_non_finite_entries_rejected(bad):
 
 
 def test_from_scipy_idempotent_and_cleans_foreign_matrices():
-    import scipy.sparse as sp
-
     raw = sp.csr_matrix((np.array([1.0, 0.0, 2.0, 3.0]),
                          np.array([1, 0, 0, 1]),
                          np.array([0, 2, 4])), shape=(2, 2))
@@ -257,9 +239,4 @@ def test_from_scipy_idempotent_and_cleans_foreign_matrices():
     assert clean.nnz == 3
     assert np.array_equal(clean.toarray(), [[0, 1], [2, 3]])
     again = sparse.from_scipy(clean.mat, clean.symmetry)
-    assert np.array_equal(again.col_idx, clean.col_idx)
-
-
-def test_negative_index_rejected():
-    with pytest.raises(IndexError):
-        csr_from_triplets(2, 2, [(-1, 0, 1.0)])
+    assert np.array_equal(again.mat.indices, clean.mat.indices)
