@@ -148,6 +148,8 @@ def cmd_solve(args):
                   "projecting onto the constant-kernel complement")
     if args.rhs:
         b = io_mm.read_matrix_market(args.rhs)
+        if isinstance(b, sparse.SparseMatrix):
+            raise UsageError("right-hand side file does not hold an array-format vector")
         b = np.asarray(b, dtype=float).ravel()
         if b.size != a.n_rows:
             raise UsageError(f"right-hand side has {b.size} entries; "

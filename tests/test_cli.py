@@ -157,6 +157,16 @@ class TestSolve:
         assert "right-hand side has 3 entries; the matrix has 16 rows" in captured.err
         assert "# levels=" not in captured.out
 
+    def test_coordinate_rhs_refused(self, tmp_path, capsys):
+        out = tmp_path / "a.mtx"
+        main(["generate", "--set", "kind=fd5", "--set", "n=4", "--out", str(out)])
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(out), "--rhs", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "right-hand side file does not hold an array-format vector" in captured.err
+        assert "# levels=" not in captured.out
+
     def test_csv_mode(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         main(["generate", "--set", "kind=fd5", "--set", "n=8", "--out", str(out)])

@@ -45,6 +45,14 @@ class TestTriplets:
         with pytest.raises(ValueError):
             from_triplets(2, 2, [(0, 1, 1.0)], symmetry=sparse.SYMMETRIC)
 
+    def test_symmetric_tag_needs_square(self):
+        with pytest.raises(ValueError, match="requires a square matrix"):
+            from_triplets(2, 3, [(0, 0, 1.0)], symmetry=sparse.SYMMETRIC)
+
+    def test_unknown_symmetry_tag(self):
+        with pytest.raises(ValueError, match="unknown symmetry tag 'hermitian'"):
+            from_triplets(2, 2, [(0, 0, 1.0)], symmetry="hermitian")
+
 
 class TestSpmv:
     def test_tridiag_row_sums(self):
@@ -100,6 +108,10 @@ class TestGalerkin:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             galerkin_product(from_dense(np.ones((3, 2))), tridiag(4))
+
+    def test_non_square_a_rejected(self):
+        with pytest.raises(ValueError, match="A must be square"):
+            galerkin_product(from_dense(np.ones((3, 2))), from_dense(np.ones((2, 3))))
 
 
 class TestGraph:
@@ -162,6 +174,11 @@ class TestMMatrixRelative:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError):
             m_matrix_relative(from_dense([[0.0, 1.0], [1.0, 2.0]], sparse.SYMMETRIC))
+
+    def test_general_tag_rejected(self):
+        # a bit-symmetric matrix still needs the symmetric tag
+        with pytest.raises(ValueError, match="defined for symmetric matrices"):
+            m_matrix_relative(from_dense(tridiag(3).toarray()))
 
     def test_obtuse_pair_spectral_pencil(self):
         a = obtuse_pair_assembly().assemble()
