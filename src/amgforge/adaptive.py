@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # SymPseudoInverse is unused since Hierarchy.from_levels factors; perfbench/tracer.py patches it.
-from .linalg import SymPseudoInverse, _stack_by_size  # noqa: F401
+from .linalg import SymPseudoInverse, _columns, _stack_by_size  # noqa: F401
 from .smoothers import make_smoother
 
 
@@ -40,7 +40,7 @@ class AdaptiveState:
 
 
 def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
-                        candidate_order=None, builder="ls_fit"):
+                        candidate_order=None):
     """Row-by-row least-squares fit of P to the test vectors.
 
     ``pattern[i]`` lists the coarse indices fine row i starts from.  Each
@@ -52,8 +52,7 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     are flagged with a warning.  The rows of one pattern size are fitted
     together, by one stacked SVD with ``lstsq``'s default rank cutoff.
     """
-    psi_fine = np.atleast_2d(np.asarray(psi_fine, dtype=float).T).T
-    psi_coarse = np.atleast_2d(np.asarray(psi_coarse, dtype=float).T).T
+    psi_fine, psi_coarse = _columns(psi_fine), _columns(psi_coarse)
     if psi_fine.shape[1] != psi_coarse.shape[1]:
         raise ValueError("fine and coarse test-vector counts differ")
     n = psi_fine.shape[0]
@@ -84,7 +83,7 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
                       "minimal-norm sense", stacklevel=2)
     rows, cols, vals = (np.concatenate(part, axis=None) for part in zip(*done or [((),) * 3]))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, psi_coarse.shape[0]))
-    return interpolation.Prolongation(sparse.from_scipy(mat), builder)
+    return interpolation.Prolongation(sparse.from_scipy(mat), "bootstrap_ls")
 
 
 def _block_delta(a, before, after):
@@ -136,19 +135,16 @@ def _aggregate_candidates(part, s):
 
 
 def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
-    """Steps 1-2 of the adaptive loop: build at most 25 levels and their
-    test vectors."""
+    """Steps 1-2 of the adaptive loop: build at most ``SetupConfig.max_levels``
+    levels and their test vectors."""
     levels, parts, vectors = [], [], []
     current, cur_psi = a, psi
     while True:
         vectors.append(cur_psi.copy())
-        if current.n_rows <= n0 or len(levels) >= 24:
+        if current.n_rows <= n0 or len(levels) >= hmod.SetupConfig.max_levels - 1:
             levels.append(hmod.Level(current))
             break
-        if levels and smoother_kind == "line-gs":
-            raise hmod.SetupError(
-                f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
-                "have no grid lines; use another smoother")
+        hmod._refuse_coarse_line_gs(smoother_kind, len(levels))
         smoother = make_smoother(current, smoother_kind)
         cur_psi = vectors[-1] = smoother.apply(np.zeros_like(cur_psi), cur_psi, q)
         # stop test on the post-transient factor: one extra sweep on the
@@ -160,15 +156,14 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
             break
         s = strength.strength_matrix(current, strength.StrengthConfig(theta=theta))
         part = coarsening.greedy_aggregate(s)
-        if part.n_aggregates >= 0.95 * current.n_rows:
+        if part.n_aggregates >= hmod._STAGNATION * current.n_rows:
             levels.append(hmod.Level(current))
             break
         psi_c = _restrict_bamg(part, cur_psi)
         pattern = [[int(part.labels[v])] for v in range(current.n_rows)]
         order = _aggregate_candidates(part, s)
         p = ls_fit_prolongation(cur_psi, psi_c, pattern, s_max=4,
-                                eps_fit=1e-8, candidate_order=order,
-                                builder="bootstrap_ls")
+                                eps_fit=1e-8, candidate_order=order)
         levels.append(hmod.Level(current, p, smoother, strength=s, coarsening=part))
         parts.append(part)
         current = sparse.galerkin_product(p.matrix, current)
@@ -298,10 +293,11 @@ def _asa_hierarchy(a, partitions, psi, smoother):
 def asa_add_vector(state, psi):
     """Append a test vector to a one-partition aSA state and rebuild it.
 
-    Per-aggregate rank deficiency after the append rejects the column (the
-    coarse basis would not widen) and flags it on the returned state.  A
-    state with more partitions is refused: its coarser partitions split the
-    old coarse dofs, not the widened ones.
+    When ``ua_prolongation`` finds an aggregate whose widened block is rank
+    deficient (the coarse basis would not widen), the column is rejected:
+    the returned state is the old one, flagged "vector rejected" with the
+    reason.  A state with more partitions is refused: its coarser partitions
+    split the old coarse dofs, not the widened ones.
     """
     levels = state.hierarchy.levels
     if levels[0].p is None or levels[0].p.builder != "ua":
@@ -312,14 +308,11 @@ def asa_add_vector(state, psi):
     a = levels[0].a
     psi = np.asarray(psi, dtype=float)
     psi_block = np.column_stack([state.test_vectors[0], psi])
-    m = psi_block.shape[1]
-    part = state.aggregates[0]
-    for agg in range(part.n_aggregates):
-        if np.linalg.matrix_rank(psi_block[part.members(agg)], tol=1e-10) < m:
-            return replace(state, delta_history=list(state.delta_history),
-                           flags=state.flags + [f"vector rejected: aggregate "
-                                                f"{agg} rank-deficient after append"])
-    h, vectors = _asa_hierarchy(a, state.aggregates, psi_block, state.smoother)
+    try:
+        h, vectors = _asa_hierarchy(a, state.aggregates, psi_block, state.smoother)
+    except interpolation.InterpolationError as exc:
+        return replace(state, delta_history=list(state.delta_history),
+                       flags=state.flags + [f"vector rejected: {exc}"])
     measured, _ = _cycle_delta(a, h, psi[:, None], state.q)
     return replace(state, hierarchy=h, test_vectors=vectors, delta=measured,
                    delta_history=state.delta_history + [measured],
@@ -329,7 +322,7 @@ def asa_add_vector(state, psi):
 def asa_initial_state(a, partitions, psi0):
     """Seed an aggregation-based adaptive state from fixed per-level
     aggregates, Gauss-Seidel smoothed; delta is measured over 4 V-cycles."""
-    psi0 = np.atleast_2d(np.asarray(psi0, dtype=float).T).T
+    psi0 = _columns(psi0)
     h, vectors = _asa_hierarchy(a, partitions, psi0, "gs")
     delta, _ = _cycle_delta(a, h, psi0, 4)
     return AdaptiveState(h, vectors, list(partitions), delta, [delta])

@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, SymPseudoInverse
+from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _sparse_lu_solve
 from .smoothers import Smoother, symmetrize
 from .sparse import SparseMatrix
 
@@ -39,13 +38,6 @@ def materialize(action, n):
         raise ValueError(f"action is not block-safe: it maps the {n} x {n} "
                          f"identity to shape {m.shape}")
     return m
-
-
-def _columns(kernel):
-    """Kernel vectors as the columns of a float array, or None."""
-    if kernel is None:
-        return None
-    return np.atleast_2d(np.asarray(kernel, dtype=float).T).T
 
 
 def _complement(kernel):
@@ -122,7 +114,8 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12):
     (nonsingular A only) the norm comes from at most ``steps`` steps of
     subspace iteration on E*E to relative change ``tol``: a seeded block of 4
     vectors with a Rayleigh-Ritz projection each step, the adjoint taken in
-    the A-inner product through a sparse LU of A.  Values above 1 + 1e-8 are flagged with a warning but
+    the A-inner product through a sparse LU of A, which refuses a singular A
+    with a ValueError.  Values above 1 + 1e-8 are flagged with a warning but
     still returned.
     """
     n = a.n_rows
@@ -154,9 +147,10 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12):
 
 
 def _subspace_iteration(a, e_action, e_action_t, steps, tol):
-    """Top eigenvalue of E*E (adjoint in the A-inner product) for nonsingular A."""
+    """Top eigenvalue of E*E (adjoint in the A-inner product) for nonsingular
+    A; a singular A is refused by its sparse LU."""
     n = a.n_rows
-    solve = spla.splu(a.mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    solve = _sparse_lu_solve(a.mat, "A")
     amat = a.mat
     b = min(4, n)
 
@@ -200,16 +194,13 @@ def two_level_error_action(a, smoother, p):
 
     Within the dense cap the coarse solve uses the symmetric pseudo-inverse
     of P^T A P, so semidefinite coarse matrices follow the global convention;
-    beyond it, a sparse LU of P^T A P, which must be nonsingular.
+    beyond it, a sparse LU of P^T A P, which refuses a singular one with a
+    ValueError.
     """
     pmat = _p_matrix(p)
     a_c = pmat.T @ (a.mat @ pmat)
     if a.n_rows > DENSE_CAP:
-        try:
-            coarse_solve = spla.splu(sp.csc_matrix(0.5 * (a_c + a_c.T)),
-                                     permc_spec="MMD_AT_PLUS_A").solve
-        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-            raise ValueError(f"coarse matrix P^T A P is singular: {exc}") from exc
+        coarse_solve = _sparse_lu_solve(0.5 * (a_c + a_c.T), "coarse matrix P^T A P")
     else:
         a_c = a_c.toarray()
         coarse_solve = SymPseudoInverse(0.5 * (a_c + a_c.T)).solve

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import coarsening, interpolation, sparse, strength
-from .linalg import SymPseudoInverse
+from .linalg import SymPseudoInverse, _columns
 from .smoothers import make_smoother
 
 
@@ -27,6 +27,17 @@ class StagnationError(SetupError):
 
 class IndefinitePreconditionerError(RuntimeError):
     pass
+
+
+# Coarsening that keeps at least this share of a level's unknowns stagnates.
+_STAGNATION = 0.95
+
+
+def _refuse_coarse_line_gs(smoother, level):
+    """Line Gauss-Seidel smooths the finest level only."""
+    if level and smoother == "line-gs":
+        raise SetupError(f"smoother=line-gs cannot smooth level {level}: coarse levels "
+                         "have no grid lines; use another smoother")
 
 
 @dataclass(frozen=True)
@@ -202,12 +213,9 @@ def setup(a, config=None):
     levels = []
     current = a
     while current.n_rows > config.n0 and len(levels) < config.max_levels - 1:
-        if levels and config.smoother == "line-gs":
-            raise SetupError(
-                f"smoother=line-gs cannot smooth level {len(levels)}: coarse levels "
-                "have no grid lines; use another smoother or max_levels=2")
+        _refuse_coarse_line_gs(config.smoother, len(levels))
         p, s, coarse_obj = _coarsen_once(current, config)
-        if p.n_coarse >= 0.95 * current.n_rows:
+        if p.n_coarse >= _STAGNATION * current.n_rows:
             raise StagnationError(
                 f"coarsening stagnated at level {len(levels)}: "
                 f"{current.n_rows} -> {p.n_coarse} unknowns")
@@ -259,7 +267,7 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
         raise ValueError("right-hand side or initial guess has non-finite entries")
     proj = lambda v: v
     if kernel is not None:
-        q, _ = np.linalg.qr(np.atleast_2d(np.asarray(kernel, dtype=float).T).T)
+        q, _ = np.linalg.qr(_columns(kernel))
         proj = lambda v: v - q @ (q.T @ v)
     start = time.perf_counter()
     report = SolveReport()

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP
+from .linalg import DENSE_CAP, _columns
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
@@ -68,14 +68,14 @@ def _assemble_cf(w, split, builder):
     return Prolongation(from_scipy(mat), builder)
 
 
-def ideal_interpolation(a, split, dense_cap=4000):
+def ideal_interpolation(a, split):
     """Exact harmonic extension P = [-A_FF^{-1} A_FC; I].
 
-    A desk-scale oracle: the F-block is solved densely and inputs with more
-    than ``dense_cap`` fine points are rejected.
+    A desk-scale oracle: the F-block is solved densely, so inputs with more
+    than ``DENSE_CAP`` fine points are rejected before any dense work.
     """
-    if split.fine_indices.size > dense_cap:
-        raise ValueError(f"ideal interpolation capped at {dense_cap} fine points")
+    if split.fine_indices.size > DENSE_CAP:
+        raise ValueError(f"ideal interpolation capped at {DENSE_CAP} fine points")
     a_ff, a_fc = (block.toarray() for block in _fine_blocks(a.mat, split))
     try:
         w = -scipy.linalg.solve(a_ff, a_fc, assume_a="sym")
@@ -186,7 +186,7 @@ def ua_prolongation(partition, vectors=None):
         mat = sp.coo_matrix((np.ones(n), (np.arange(n), partition.labels)),
                             shape=(n, partition.n_aggregates))
         return Prolongation(from_scipy(mat), "ua")
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float).T).T
+    vectors = _columns(vectors)
     k = vectors.shape[1]
     rows, cols, vals = [], [], []
     for agg in range(partition.n_aggregates):

@@ -10,7 +10,6 @@ other body goes to the Python parser, which names the first bad line.
 """
 
 import io
-import re
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +66,6 @@ def _parse_header(line, line_no):
     return fmt, symmetry
 
 
-_COMMENT = re.compile(r"^[^\S\n]*%.*$", re.M)
-
-
 def _content(lines, first_no):
     """(line number, stripped line) of every non-blank, non-comment line."""
     for no, ln in enumerate(lines, start=first_no):
@@ -78,25 +74,31 @@ def _content(lines, first_no):
             yield no, ln
 
 
-def _report_bad_entry(entries, n_rows, n_cols, nnz, symmetric, size_no):
-    """Raise the error that names the first bad entry line, checking the lines
-    one by one in file order."""
+def _checked_entries(entries, n_rows, n_cols, nnz, symmetric, size_no):
+    """The 0-based (i, j, value) arrays of the (line number, line) entries,
+    checked one by one in file order; the first bad line raises the error
+    that names it."""
     entries = list(entries)
     if len(entries) != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {len(entries)}", size_no)
+    rows, cols, vals = [], [], []
     for no, ln in entries:
         fields = ln.split()
         if len(fields) != 3:
             raise MatrixMarketError("entry must be 'i j value'", no)
         try:
-            i, j, _ = int(fields[0]), int(fields[1]), float(fields[2])
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
             raise MatrixMarketError("malformed entry", no) from None
         if not (1 <= i <= n_rows and 1 <= j <= n_cols):
             raise MatrixMarketError("index out of range", no)
         if symmetric and j > i:
             raise MatrixMarketError("symmetric file stores the lower triangle only", no)
-    raise AssertionError("the vectorized pass rejected a valid body")
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+    return (np.array(rows, dtype=np.int64) - 1, np.array(cols, dtype=np.int64) - 1,
+            np.array(vals, dtype=float))
 
 
 def _in_range(i, j, v, n_rows, n_cols, symmetric):
@@ -106,23 +108,6 @@ def _in_range(i, j, v, n_rows, n_cols, symmetric):
     if symmetric:
         bad |= j > i
     return None if bad.any() else (i - 1, j - 1, v)
-
-
-def _entries(body, nnz, n_rows, n_cols, symmetric):
-    """The 0-based (i, j, value) arrays in one pass over the body's fields,
-    or None when any line is bad (the reporter then names it)."""
-    if not set(map(len, map(str.split, body.split("\n")))) <= {0, 3}:
-        return None
-    fields = body.split()
-    if len(fields) != 3 * nnz:
-        return None
-    try:
-        i = np.fromiter(map(int, fields[0::3]), dtype=np.int64, count=nnz)
-        j = np.fromiter(map(int, fields[1::3]), dtype=np.int64, count=nnz)
-        v = np.fromiter(map(float, fields[2::3]), dtype=float, count=nnz)
-    except (ValueError, OverflowError):  # overflow: an index beyond int64
-        return None
-    return _in_range(i, j, v, n_rows, n_cols, symmetric)
 
 
 _SPACE, _NEWLINE, _DOT, _PLUS, _MINUS, _ZERO, _NINE, _E = b" \n.+-09e"
@@ -199,12 +184,8 @@ def _read_coordinate(body, sizes, size_no, symmetric):
         raise MatrixMarketError("non-integer size entry", size_no) from None
     entries = _fast_entries(body, nnz, n_rows, n_cols, symmetric)
     if entries is None:
-        if "%" in body:
-            body = _COMMENT.sub("", body)
-        entries = _entries(body, nnz, n_rows, n_cols, symmetric)
-    if entries is None:
-        _report_bad_entry(_content(body.split("\n"), size_no + 1),
-                          n_rows, n_cols, nnz, symmetric, size_no)
+        entries = _checked_entries(_content(body.split("\n"), size_no + 1),
+                                   n_rows, n_cols, nnz, symmetric, size_no)
     i, j, v = entries
     if symmetric:
         # each off-diagonal entry followed by its mirror, as the file lists them

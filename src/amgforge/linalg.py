@@ -1,11 +1,14 @@
-"""Shared dense linear algebra: the dense cap, the one symmetric
-pseudo-inverse and the size grouping of stacked local solves."""
+"""Shared linear algebra: the dense cap, the one symmetric pseudo-inverse,
+the one nonsingular sparse LU beyond the cap, vectors as block columns and
+the size grouping of stacked local solves."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 # Largest order n of the dense n x n arrays the package forms on its own: the
-# analysis oracles and the SA column-rank check.
+# analysis oracles, ideal interpolation's F block and the SA column-rank check.
 DENSE_CAP = 2000
 _STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
 
@@ -24,22 +27,10 @@ class SymPseudoInverse:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        w, v = scipy.linalg.eigh(a)
+        w, self._v = scipy.linalg.eigh(a)
         lam_max = max(abs(w[0]), abs(w[-1]), 1.0e-300)
         keep = w > 1e-12 * lam_max
-        self.eigenvalues = w
-        self._v = v
         self._inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        self.rank = int(keep.sum())
-        self.kernel = v[:, ~keep].copy()
-
-    @property
-    def n(self):
-        return self._v.shape[0]
-
-    @property
-    def kernel_dim(self):
-        return self.n - self.rank
 
     def solve(self, b):
         """Apply the pseudo-inverse to one vector or to columns of a matrix."""
@@ -50,6 +41,26 @@ class SymPseudoInverse:
         else:
             y *= self._inv_w[:, None]
         return self._v @ y
+
+
+def _sparse_lu_solve(m, name):
+    """The solve of a sparse LU of the square scipy matrix ``m``, which must be
+    nonsingular: SuperLU's exactly-singular error and a pivot of at most
+    1e-12 times the largest both raise a ValueError that names ``m``."""
+    try:
+        lu = spla.splu(sp.csc_matrix(m), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise ValueError(f"{name} is singular: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= 1e-12 * pivots.max():
+        raise ValueError(f"{name} is singular: its smallest LU pivot is "
+                         f"{pivots.min() / pivots.max():.1e} of the largest")
+    return lu.solve
+
+
+def _columns(x):
+    """A vector or an (n, k) block as the columns of a float array; None stays None."""
+    return None if x is None else np.atleast_2d(np.asarray(x, dtype=float).T).T
 
 
 def _stack_by_size(index_lists):

@@ -252,17 +252,16 @@ class ConvergenceBound:
     omega_limit: float
 
 
-def convergence_bound(smoother, a=None):
+def convergence_bound(smoother):
     """Largest admissible damping: 2/rho(D^{-1}A) for Jacobi, 2 for Gauss-Seidel.
 
     A symmetrized smoother converges exactly when its inner smoother does,
     since |I - Rbar A|_A = |I - R A|_A^2.
     """
-    a = a if a is not None else smoother.a
     if isinstance(smoother, SymmetrizedSmoother):
-        return convergence_bound(smoother.inner, a)
+        return convergence_bound(smoother.inner)
     if isinstance(smoother, Jacobi):
-        limit = 2.0 / estimate_rho_dinv_a(a)
+        limit = 2.0 / estimate_rho_dinv_a(smoother.a)
         return ConvergenceBound(smoother.omega < limit, limit)
     if isinstance(smoother, GaussSeidel):
         return ConvergenceBound(0.0 < smoother.omega < 2.0, 2.0)

@@ -8,6 +8,7 @@ from amgforge.adaptive import (asa_add_vector, asa_initial_state,
                                bootstrap_setup, ls_fit_prolongation,
                                mge_eigensolve)
 from amgforge.coarsening import AggregatePartition
+from amgforge.strength import full_strength
 
 
 from tests_support import elasticity_like, point_block_partition
@@ -204,6 +205,18 @@ class TestAsaAddVector:
         new_state = asa_add_vector(state, combo)
         assert any("rejected" in f for f in new_state.flags)
         assert abs(self.rate(new_state) - self.rate(state)) <= 1e-6
+
+    def test_nearly_parallel_scaled_vector_rejected(self):
+        # the rank test is ua_prolongation's own, so a vector it refuses is
+        # flagged, not raised
+        a = problems.fd_poisson_5pt(8)
+        s = full_strength(a)
+        state = asa_initial_state(a, [coarsening.greedy_aggregate(s)],
+                                  1e9 * np.ones(a.n_rows))
+        noise = np.random.default_rng(0).standard_normal(a.n_rows)
+        new_state = asa_add_vector(state, 1e9 * np.ones(a.n_rows) + 1e-7 * noise)
+        assert any("vector rejected" in f for f in new_state.flags)
+        assert new_state.hierarchy is state.hierarchy
 
     def test_relaxed_noise_vector_not_worse(self):
         state = asa_initial_state(self.a, [self.part], self.z)

@@ -359,6 +359,22 @@ class TestExactOracle:
         with pytest.raises(ValueError, match="coarse matrix"):
             analysis.two_level_error_action(a, GaussSeidel(a), p)
 
+    def test_singular_a_beyond_cap_refused(self):
+        # the sparse LU beyond the cap refuses a singular A as the dense
+        # pencil within it does, instead of returning a number
+        a = problems.fe_jump_coefficient(45, 1e-3)[0]
+        assert a.n_rows > analysis.DENSE_CAP
+        s = strength_matrix(a, StrengthConfig())
+        p = interpolation.standard_interpolation(a, coarsening.mis(s), s)
+        with pytest.raises(ValueError, match="singular"):
+            two_level_error_norm(a, GaussSeidel(a), p)
+
+    def test_singular_a_beyond_cap_named(self):
+        a = problems.fd_poisson_5pt(47, "neumann")
+        assert a.n_rows > analysis.DENSE_CAP
+        with pytest.raises(ValueError, match="^A is singular"):
+            error_norm(a, lambda v: 0.5 * v, lambda v: 0.5 * v)
+
     def test_report_eigendecomposes_rbar_once(self, monkeypatch):
         a = problems.fe_anisotropic(8, 1e-2)
         s = full_strength(a)

@@ -53,7 +53,8 @@ def test_traced_tiny_pass(name, tmp_path):
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     # the layers the tracer times ran through the names it patches
     if name in SOLVE_WORKLOADS:
-        for key in ("sparse.spmv_calls", "smoothers.apply_calls", "hierarchy.vcycles"):
+        for key in ("sparse.spmv_calls", "smoothers.apply_calls", "hierarchy.vcycles",
+                    "linalg.coarsest_factor_s", "linalg.pinv_solve_busy_s"):
             assert metrics[key] > 0, key
     if name == "poisson_classical":
         assert metrics["io_mm.read_s"] > 0

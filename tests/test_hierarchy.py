@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amgforge import adaptive, analysis, hierarchy, problems, smoothers, sparse
+from amgforge import (adaptive, analysis, coarsening, hierarchy, problems, smoothers,
+                      sparse, strength)
 from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
                                 Level, SetupConfig, SetupError, pcg_solve,
                                 setup, two_level_apply, vcycle_apply)
+from amgforge.interpolation import verify_full_rank
 from amgforge.linalg import SymPseudoInverse
 
 from test_analysis import MODEL_FAMILIES
@@ -195,6 +197,25 @@ def test_vcycle_spd_and_galerkin_bit_symmetric(family, n, eps, config, seed):
     m = x.T @ vcycle_apply(h, x)
     assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
     assert (np.diag(m) > 0.0).all()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(MODEL_FAMILIES), st.integers(3, 18), st.floats(1e-6, 1.0))
+def test_aggregation_p_full_rank_and_keeps_constants(family, n, eps):
+    # UA, SA and energy-min P have full column rank, and on the Neumann
+    # families the kernel (the constants) lies in range(P)
+    a = problems.build(problems.ProblemSpec(family[0], n, eps, family[1]))
+    cfg = SetupConfig()
+    s = strength.strength_matrix(a, cfg.strength_config())
+    part = coarsening.greedy_aggregate(s)
+    ones = np.ones(a.n_rows)
+    for builder in ("ua", "sa", "energymin"):
+        p = hierarchy.BUILDERS[builder][1](a, part, s, cfg)
+        assert verify_full_rank(p), builder
+        if family[1] == "neumann":
+            pm = p.toarray()
+            coef, *_ = np.linalg.lstsq(pm, ones, rcond=None)
+            assert np.linalg.norm(pm @ coef - ones) <= 1e-8 * np.linalg.norm(ones), builder
 
 
 def reference_vcycle(h, level, g, nu1, nu2):

@@ -20,6 +20,7 @@ from amgforge.interpolation import (InterpolationError, SupportSet,
                                     supports_from_aggregates, ua_prolongation,
                                     vector_preserving_interpolation,
                                     verify_full_rank)
+from amgforge.linalg import DENSE_CAP
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
 
 EVEN_SPLIT_5 = CFSplitting(np.array([False, True, False, True, False]))
@@ -46,9 +47,10 @@ class TestIdeal:
         assert np.abs(p.toarray().sum(axis=1) - 1.0).max() <= 1e-13
 
     def test_cap_enforced(self):
-        a = problems.laplace_1d(9)
+        n = 2 * DENSE_CAP + 3
+        a = problems.laplace_1d(n)
         with pytest.raises(ValueError):
-            ideal_interpolation(a, CFSplitting(np.arange(9) % 2 == 1), dense_cap=2)
+            ideal_interpolation(a, CFSplitting(np.arange(n) % 2 == 1))
 
     def test_singular_ff_block(self):
         a = sparse.from_dense([[0.0, 0.0, 1.0], [0.0, 2.0, -1.0], [1.0, -1.0, 2.0]],

@@ -1,4 +1,5 @@
-"""The coordinate body parse: one vectorized pass, errors named line by line."""
+"""The coordinate body parse of a body mmread does not take: one checked
+pass, line by line, whose first bad line raises the error that names it."""
 
 import numpy as np
 import pytest
