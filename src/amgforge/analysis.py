@@ -8,15 +8,20 @@ smoother/prolongation pair produced by the rest of the package.
 Within ``DENSE_CAP`` unknowns the error norm is exact: the top eigenvalue of
 the pencil (E'AE, A) of the materialized propagator.  The Rbar-norm oracles
 share one dense frame: A, Rbar^{-1} (from a single eigendecomposition of
-Rbar) and the kernel complement.  The optimal coarse space is the low end of
-the pencil (A, Rbar^{-1}), and K(V_c) the top of the pencil
-(Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may be a
-``Prolongation``, a ``SparseMatrix`` or an array.
+Rbar) and the kernel complement.  A smoother's frame, and the spectrum mu of
+Rbar A on it, are built once and held, read-only, for as long as the smoother
+lives, so every report on one smoother shares them; only the P-dependent
+parts, the error norm and K(V_c), are computed per report.  The optimal
+coarse space is the low end of the pencil (A, Rbar^{-1}), and K(V_c) the top
+of the pencil (Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may
+be a ``Prolongation``, a ``SparseMatrix`` or an array.
 Beyond the cap only the error norm is available, by subspace iteration with
 sparse LU solves.
 """
 
+import functools
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _sparse_lu_solve
-from .smoothers import Smoother, symmetrize
+from .smoothers import Smoother, SymmetrizedSmoother, symmetrize
 from .sparse import SparseMatrix
 
 
@@ -75,20 +80,44 @@ def _top_eigenvalue(m, b, overwrite_b=False):
 class _Frame:
     """Dense A and Rbar^{-1}, the factor every Rbar-norm oracle shares."""
 
-    a: np.ndarray  # dense A
-    rinv: np.ndarray  # Rbar^{-1}
+    a: np.ndarray  # dense A, read-only
+    rinv: np.ndarray  # Rbar^{-1}, read-only
     kernel: np.ndarray = None  # kernel columns of A, if singular
     complement: np.ndarray = None  # orthonormal basis of the kernel complement
+    mu: np.ndarray = None  # spectrum of Rbar A, once _mu has computed it
+
+
+# smoother -> {symmetrized: frame}.  A SymmetrizedSmoother is filed under its
+# inner smoother, so every symmetrize(s) finds one frame; s itself taken as
+# Rbar is the other slot.  Weak keys: a frame lives as long as its smoother.
+_FRAMES = weakref.WeakKeyDictionary()
 
 
 def _frame(a, rbar, kernel=None):
     """One dense frame of (A, Rbar): Rbar as a smoother, a dense n x n array
-    or an existing frame, which keeps its kernel unless another is given."""
+    or an existing frame, which keeps its kernel unless another is given.
+
+    A smoother over this very A gets its cached frame; a kernel is added to
+    a copy, so the cached frame never carries one."""
     kernel = _columns(kernel)
     if isinstance(rbar, _Frame):
-        if kernel is None:
-            return rbar
-        return replace(rbar, kernel=kernel, complement=_complement(kernel))
+        frame = rbar
+    elif isinstance(rbar, Smoother) and a is rbar.a:
+        symmetrized = isinstance(rbar, SymmetrizedSmoother)
+        slots = _FRAMES.setdefault(rbar.inner if symmetrized else rbar, {})
+        if symmetrized not in slots:
+            slots[symmetrized] = _build_frame(a, rbar)
+        frame = slots[symmetrized]
+    else:
+        frame = _build_frame(a, rbar)
+    if kernel is None:
+        return frame
+    return replace(frame, kernel=kernel, complement=_complement(kernel))
+
+
+def _build_frame(a, rbar):
+    """Dense A and Rbar^{-1} from one eigendecomposition of Rbar (a smoother
+    or a dense array), both read-only; Rbar must be SPD."""
     n = a.n_rows
     if n > DENSE_CAP:
         raise ValueError("Rbar frame is a dense oracle; n exceeds the cap")
@@ -100,7 +129,18 @@ def _frame(a, rbar, kernel=None):
     w, v = scipy.linalg.eigh(0.5 * (rbar + rbar.T))
     if w[0] <= 0.0:
         raise ValueError("Rbar must be SPD (smoother not A-convergent)")
-    return _Frame(a.toarray(), (v / w) @ v.T, kernel, _complement(kernel))
+    frame = _Frame(a.toarray(), (v / w) @ v.T)
+    frame.a.flags.writeable = frame.rinv.flags.writeable = False
+    return frame
+
+
+def _mu(frame):
+    """The spectrum of Rbar A, values only, from the pencil (A, Rbar^{-1});
+    computed on a frame's first use and kept on it, read-only."""
+    if frame.mu is None:
+        frame.mu = scipy.linalg.eigh(frame.a, frame.rinv, eigvals_only=True)
+        frame.mu.flags.writeable = False
+    return frame.mu
 
 
 def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12):
@@ -194,13 +234,19 @@ def two_level_error_action(a, smoother, p):
 
     Within the dense cap the coarse solve uses the symmetric pseudo-inverse
     of P^T A P, so semidefinite coarse matrices follow the global convention;
-    beyond it, a sparse LU of P^T A P, which refuses a singular one with a
-    ValueError.
+    beyond it, a sparse LU of P^T A P, made at the first action, which
+    refuses a singular one with a ValueError.
     """
     pmat = _p_matrix(p)
     a_c = pmat.T @ (a.mat @ pmat)
     if a.n_rows > DENSE_CAP:
-        coarse_solve = _sparse_lu_solve(0.5 * (a_c + a_c.T), "coarse matrix P^T A P")
+        # factored at the first action, so error_norm's LU of A comes first
+        # and a singular A is refused under its own name
+        coarse_lu = functools.cache(
+            lambda: _sparse_lu_solve(0.5 * (a_c + a_c.T), "coarse matrix P^T A P"))
+
+        def coarse_solve(v):
+            return coarse_lu()(v)
     else:
         a_c = a_c.toarray()
         coarse_solve = SymPseudoInverse(0.5 * (a_c + a_c.T)).solve
@@ -284,8 +330,7 @@ def trace_check(a, rbar, p_opt, candidates):
     both verdicts allow 1e-9 of rounding."""
     f = _frame(a, rbar)
     n_c = p_opt.shape[1]
-    mu = scipy.linalg.eigh(f.a, f.rinv, eigvals_only=True)
-    bound = float(mu[:n_c].sum())
+    bound = float(_mu(f)[:n_c].sum())
     q_opt = _rbar_inv_orthonormalize(np.asarray(p_opt, dtype=float), f.rinv)
     opt_trace = float(np.trace(q_opt.T @ f.a @ q_opt))
     traces = []
@@ -357,16 +402,17 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
     """Measure the exact two-level rate and its theoretical value side by side.
 
     The measured side, |E|_A^2, never sees Rbar; the theoretical side, K and
-    the optimal spectrum, share one frame of Rbar.
+    the optimal spectrum mu (values only), share one frame of Rbar.  That
+    frame and mu are built on the first report on ``smoother`` and held as
+    long as the smoother lives, so a gallery of coarse spaces under one
+    smoother pays for them once; ``mu_spectrum`` is then shared, read-only.
     """
-    frame = _frame(a, symmetrize(smoother), kernel)
+    frame = _frame(a, symmetrize(smoother))
     e_sq = two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
-    k = k_of_vc(a, frame, p)
+    k = k_of_vc(a, frame, p, kernel)
     builder = getattr(p, "builder", "custom")
     n_c = _p_matrix(p).shape[1]
-    mu = None
-    if include_mu:  # the spectrum alone: no eigenvectors
-        mu = scipy.linalg.eigh(frame.a, frame.rinv, eigvals_only=True)
+    mu = _mu(frame) if include_mu else None
     return TwoLevelReport(builder, a.n_rows, n_c, float(e_sq), float(k), mu)
 
 

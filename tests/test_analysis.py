@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -356,17 +358,19 @@ class TestExactOracle:
         a = problems.fd_poisson_5pt(46)
         p = np.zeros((a.n_rows, 2))
         p[0, 0] = 1.0  # the second column is zero, so P^T A P is singular
+        e_act, _ = analysis.two_level_error_action(a, GaussSeidel(a), p)
         with pytest.raises(ValueError, match="coarse matrix"):
-            analysis.two_level_error_action(a, GaussSeidel(a), p)
+            e_act(np.ones(a.n_rows))  # P^T A P is factored at the first action
 
     def test_singular_a_beyond_cap_refused(self):
         # the sparse LU beyond the cap refuses a singular A as the dense
-        # pencil within it does, instead of returning a number
+        # pencil within it does, instead of returning a number; P^T A P is
+        # singular here too, but A is the cause and is factored first
         a = problems.fe_jump_coefficient(45, 1e-3)[0]
         assert a.n_rows > analysis.DENSE_CAP
         s = strength_matrix(a, StrengthConfig())
         p = interpolation.standard_interpolation(a, coarsening.mis(s), s)
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="^A is singular"):
             two_level_error_norm(a, GaussSeidel(a), p)
 
     def test_singular_a_beyond_cap_named(self):
@@ -452,3 +456,78 @@ def test_oracles_match_golden():
             k_ref = ref[key + "/k_vc"]
             assert abs(rep.k_vc - k_ref) <= 1e-13 * k_ref, key
             assert np.abs(rep.mu_spectrum - ref[key + "/mu"]).max() <= 1e-11, key
+
+
+class TestFrameCache:
+    """A smoother's Rbar frame and mu spectrum are built once and live as
+    long as the smoother."""
+
+    def test_gallery_builds_one_frame_and_spectrum_per_smoother(self, monkeypatch):
+        builds, spectra = [], []
+        build, eigh = analysis._build_frame, scipy.linalg.eigh
+
+        def counting_build(a, rbar):
+            builds.append(rbar)
+            return build(a, rbar)
+
+        def counting_eigh(m, *args, **kwargs):
+            if kwargs.get("eigvals_only") and "subset_by_index" not in kwargs:
+                spectra.append(1)  # the values-only pencil (A, Rbar^{-1})
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_build_frame", counting_build)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        cases = [case for key, case in oracle_cases().items() if key.startswith("aniso/")]
+        assert len(cases) == 7
+        for a, smoother, p, kernel in cases:
+            two_level_report(a, smoother, p, kernel=kernel, include_mu=True)
+        assert sorted(type(s.inner).__name__ for s in builds) == [
+            "BlockGaussSeidel", "GaussSeidel"]
+        assert len(spectra) == 2
+
+    def test_frame_dies_with_its_smoother(self):
+        a = problems.laplace_1d(8)
+        gs = GaussSeidel(a)
+        frame = weakref.ref(analysis._frame(a, symmetrize(gs)))
+        assert gs in analysis._FRAMES and frame() is not None
+        del gs
+        gc.collect()
+        assert frame() is None
+
+    def test_hit_needs_the_smoothers_own_a(self):
+        a = problems.laplace_1d(8)
+        gs = GaussSeidel(a)
+        frame = analysis._frame(a, symmetrize(gs))
+        assert analysis._frame(a, symmetrize(gs)) is frame
+        twin = sparse.from_scipy(a.mat.copy(), sparse.SYMMETRIC)
+        other = analysis._frame(twin, symmetrize(gs))
+        assert other is not frame and np.array_equal(other.rinv, frame.rinv)
+        assert analysis._frame(a, symmetrize(gs)) is frame
+
+    def test_cached_arrays_are_read_only(self):
+        a = problems.laplace_1d(8)
+        frame = analysis._frame(a, symmetrize(GaussSeidel(a)))
+        for arr in (frame.a, frame.rinv, analysis._mu(frame)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, ...] = 0.0
+
+    def test_raw_smoother_is_not_its_symmetrization(self):
+        a = problems.laplace_1d(8)
+        gs = GaussSeidel(a)
+        raw, sym = analysis._frame(a, gs), analysis._frame(a, symmetrize(gs))
+        assert raw is not sym and not np.allclose(raw.rinv, sym.rinv)
+        assert analysis._frame(a, gs) is raw
+        assert analysis._frame(a, symmetrize(gs)) is sym
+
+    def test_kernel_stays_off_the_cached_frame(self):
+        j, gs, ua, kernel = oracle_cases()["jump/ua/gs"]
+        with pytest.raises(ValueError):  # A is singular and no kernel was given
+            k_of_vc(j, symmetrize(gs), ua)
+        got = two_level_report(j, gs, ua, kernel=kernel, include_mu=True)
+        want = two_level_report(j, smoothers.make_smoother(j, "gs"), ua, kernel=kernel,
+                                include_mu=True)
+        assert (got.e_norm_sq, got.k_vc) == (want.e_norm_sq, want.k_vc)
+        assert got.mu_spectrum.tobytes() == want.mu_spectrum.tobytes()
+        assert analysis._frame(j, symmetrize(gs)).kernel is None
+        with pytest.raises(ValueError):  # the report's kernel did not stay behind
+            k_of_vc(j, symmetrize(gs), ua)
