@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # SymPseudoInverse is unused since Hierarchy.from_levels factors; perfbench/tracer.py patches it.
-from .linalg import SymPseudoInverse, _columns, _stack_by_size  # noqa: F401
+from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _stack_by_size  # noqa: F401
 from .smoothers import make_smoother
 
 
@@ -229,10 +229,13 @@ def mge_eigensolve(h, l_e, relax_sweeps=2):
     Level mass matrices are Gram matrices of the composite prolongations.
     Ascending one level: lift with P, keep the previous eigenvalue as shift,
     relax on (A - shift M) w = 0 with Jacobi damped by 0.5, then update the
-    Rayleigh quotient (A phi, phi) / (M phi, phi).
-    """
+    Rayleigh quotient (A phi, phi) / (M phi, phi).  A coarsest level beyond
+    ``DENSE_CAP`` unknowns is refused before any dense work."""
     if h.n_levels < 1:
         raise ValueError("empty hierarchy")
+    if h.levels[-1].a.n_rows > DENSE_CAP:
+        raise ValueError(f"coarsest level has {h.levels[-1].a.n_rows} unknowns, beyond "
+                         f"DENSE_CAP = {DENSE_CAP} of the dense coarsest eigensolve")
     mass = [sp.identity(h.levels[0].a.n_rows, format="csr")]
     comp = None
     for lvl in h.levels[:-1]:

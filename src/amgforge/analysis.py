@@ -15,8 +15,10 @@ parts, the error norm and K(V_c), are computed per report.  The optimal
 coarse space is the low end of the pencil (A, Rbar^{-1}), and K(V_c) the top
 of the pencil (Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may
 be a ``Prolongation``, a ``SparseMatrix`` or an array.
-Beyond the cap only the error norm is available, by subspace iteration with
-sparse LU solves.
+Beyond the cap only the error norm is available, by subspace iteration.
+Its solves with A, and every solve with a coarse matrix P'AP, follow the
+one coarse-solve rule, ``linalg.SymPseudoInverse``, keyed on the order of
+the matrix solved.
 """
 
 import functools
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _sparse_lu_solve
+from .linalg import DENSE_CAP, SymPseudoInverse, _columns
 from .smoothers import Smoother, SymmetrizedSmoother, symmetrize
 from .sparse import SparseMatrix
 
@@ -68,12 +70,15 @@ def _p_matrix(p):
 
 
 def _top_eigenvalue(m, b, overwrite_b=False):
-    """Largest eigenvalue of the symmetric pencil (m, b), b positive definite;
-    ``overwrite_b`` lets the eigensolver work in b's memory."""
+    """Largest eigenvalue of the symmetric pencil (m, b), b = A on the tested space, which
+    must be positive definite; ``overwrite_b`` lets eigh work in b's memory."""
     k = m.shape[0]
     sym = 0.5 * (m + m.T)  # exactly symmetric, so sym.T is sym in the F order eigh works in
-    return float(scipy.linalg.eigh(sym.T, b, eigvals_only=True, subset_by_index=[k - 1, k - 1],
-                                   overwrite_a=True, overwrite_b=overwrite_b)[0])
+    try:
+        return float(scipy.linalg.eigh(sym.T, b, eigvals_only=True, subset_by_index=[k - 1, k - 1],
+                                       overwrite_a=True, overwrite_b=overwrite_b)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("A is singular on the tested space; pass its kernel") from exc
 
 
 @dataclass
@@ -168,11 +173,7 @@ def error_norm(a, e_action, e_action_t=None, kernel=None, steps=500, tol=1e-12):
         m = e.T @ (a.mat @ e)
         del e  # materialize's arrays are gone before the pencil is solved
         a_u = a.mat.toarray(order="F") if u is None else np.asfortranarray(u.T @ (a.mat @ u))
-        try:
-            lam = _top_eigenvalue(m, a_u, overwrite_b=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("A is singular on the tested space; pass its "
-                             "kernel") from exc
+        lam = _top_eigenvalue(m, a_u, overwrite_b=True)
     else:
         if kernel is not None:
             raise ValueError("singular problems need n within the dense cap")
@@ -190,7 +191,7 @@ def _subspace_iteration(a, e_action, e_action_t, steps, tol):
     """Top eigenvalue of E*E (adjoint in the A-inner product) for nonsingular
     A; a singular A is refused by its sparse LU."""
     n = a.n_rows
-    solve = _sparse_lu_solve(a.mat, "A")
+    solve = SymPseudoInverse(a, "A").solve
     amat = a.mat
     b = min(4, n)
 
@@ -230,37 +231,25 @@ def _subspace_iteration(a, e_action, e_action_t, steps, tol):
 
 def two_level_error_action(a, smoother, p):
     """Actions of E = (I - RA)(I - Pi_c) and its transpose, on a vector or
-    an (n, k) block.
-
-    Within the dense cap the coarse solve uses the symmetric pseudo-inverse
-    of P^T A P, so semidefinite coarse matrices follow the global convention;
-    beyond it, a sparse LU of P^T A P, made at the first action, which
-    refuses a singular one with a ValueError.
-    """
+    an (n, k) block, with the coarse solve of ``SymPseudoInverse(P^T A P)``."""
     pmat = _p_matrix(p)
     a_c = pmat.T @ (a.mat @ pmat)
-    if a.n_rows > DENSE_CAP:
-        # factored at the first action, so error_norm's LU of A comes first
-        # and a singular A is refused under its own name
-        coarse_lu = functools.cache(
-            lambda: _sparse_lu_solve(0.5 * (a_c + a_c.T), "coarse matrix P^T A P"))
-
-        def coarse_solve(v):
-            return coarse_lu()(v)
-    else:
-        a_c = a_c.toarray()
-        coarse_solve = SymPseudoInverse(0.5 * (a_c + a_c.T)).solve
+    # beyond the cap P^T A P is factored at the first action, so error_norm
+    # factors A first and a singular A is refused under its own name
+    coarse = functools.cache(lambda: SymPseudoInverse(a_c, "coarse matrix P^T A P"))
+    if a.n_rows <= DENSE_CAP:
+        coarse()
     pmat_t = pmat.T
     amat = a.mat
     adj = smoother.adjoint()
 
     def e_action(v):
-        w = v - pmat @ coarse_solve(pmat_t @ (amat @ v))
+        w = v - pmat @ coarse().solve(pmat_t @ (amat @ v))
         return w - smoother.action(amat @ w)
 
     def e_action_t(v):
         w = v - amat @ (adj.action(v))
-        return w - amat @ (pmat @ coarse_solve(pmat_t @ w))
+        return w - amat @ (pmat @ coarse().solve(pmat_t @ w))
 
     return e_action, e_action_t
 
@@ -424,8 +413,7 @@ def additive_condition(a, p, kernel=None):
         raise ValueError("dense oracle; n exceeds the cap")
     a_dense = a.toarray()
     pm = _p_matrix(p).toarray()
-    a_c = pm.T @ a_dense @ pm
-    coarse = SymPseudoInverse(0.5 * (a_c + a_c.T))
+    coarse = SymPseudoInverse(pm.T @ a_dense @ pm)
     b_hat = pm @ coarse.solve(pm.T) + np.diag(1.0 / a.diagonal())
     u = _complement(_columns(kernel))
     m = _restrict(a_dense @ b_hat @ a_dense, u)

@@ -302,6 +302,9 @@ def main(argv=None):
                 if isinstance(exc, coarse_space) else "")
         print(f"error: setup failed: {exc}{hint}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a failure inside the library
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UsageError, io_mm.MatrixMarketError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

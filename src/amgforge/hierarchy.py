@@ -2,8 +2,9 @@
 
 The default cycle is V(1,1) with forward Gauss-Seidel pre-smoothing and
 backward Gauss-Seidel post-smoothing, which makes the cycle operator
-symmetric and therefore admissible as a PCG preconditioner.  Coarsest-level
-solves use the package-wide symmetric pseudo-inverse convention.
+symmetric and therefore admissible as a PCG preconditioner.  The coarsest
+solve is the package's one coarse-solve rule, ``linalg.SymPseudoInverse``;
+a singular coarsest operator beyond ``DENSE_CAP`` is refused (SetupError).
 """
 
 import functools
@@ -119,10 +120,14 @@ class Hierarchy:
     def from_levels(cls, levels):
         """Hierarchy over finished levels: factor the coarsest operator and
         record grid and operator complexities."""
+        try:
+            coarsest_solver = SymPseudoInverse(levels[-1].a, "coarsest matrix")
+        except ValueError as exc:
+            raise SetupError(f"{exc}; try a larger max_levels or a smaller n0") from exc
         nnz0 = max(levels[0].a.nnz, 1)
         return cls(
             levels,
-            SymPseudoInverse(levels[-1].a.toarray()),
+            coarsest_solver,
             grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
             operator_complexity=sum(l.a.nnz for l in levels) / nnz0,
         )

@@ -1,6 +1,6 @@
-"""Shared linear algebra: the dense cap, the one symmetric pseudo-inverse,
-the one nonsingular sparse LU beyond the cap, vectors as block columns and
-the size grouping of stacked local solves."""
+"""Shared linear algebra: the dense cap, the one coarse-solve rule (a
+symmetric pseudo-inverse within the cap, a nonsingular sparse LU beyond it),
+vectors as block columns and the size grouping of stacked local solves."""
 
 import numpy as np
 import scipy.linalg
@@ -14,48 +14,47 @@ _STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked s
 
 
 class SymPseudoInverse:
-    """Pseudo-inverse of a symmetric positive semi-definite matrix.
+    """The one coarse-solve rule, for a symmetric positive semi-definite
+    ``a`` (dense, scipy sparse or a ``SparseMatrix``), keyed on its order.
 
-    Built from a dense eigendecomposition; eigenvalues below
-    ``1e-12 * lambda_max`` are treated as exact zeros.  This is the one
-    pseudo-inverse convention used throughout the package, so coarsest-level
-    solves, projections and analysis oracles all agree on what "singular"
-    means.
+    Within ``DENSE_CAP``, the pseudo-inverse from a dense eigendecomposition
+    of the symmetric part, eigenvalues below ``1e-12 * lambda_max`` treated
+    as exact zeros.  Beyond it, the inverse from a sparse LU of the symmetric
+    part: SuperLU's exactly-singular error and a pivot of at most 1e-12 times
+    the largest raise a ValueError that names ``a``.  Coarsest-level solves,
+    coarse corrections and the analysis oracles all solve here, so they
+    agree on what "singular" means.
     """
 
-    def __init__(self, a):
-        a = np.asarray(a, dtype=float)
+    def __init__(self, a, name="matrix"):
+        a = getattr(a, "mat", a)
+        a = a if sp.issparse(a) else np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        w, self._v = scipy.linalg.eigh(a)
+        sym = 0.5 * (a + a.T)
+        self._lu = None
+        if a.shape[0] > DENSE_CAP:
+            try:
+                self._lu = spla.splu(sp.csc_matrix(sym), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+                raise ValueError(f"{name} is singular: {exc}") from exc
+            pivots = np.abs(self._lu.U.diagonal())
+            if pivots.min() <= 1e-12 * pivots.max():
+                raise ValueError(f"{name} is singular: its smallest LU pivot is "
+                                 f"{pivots.min() / pivots.max():.1e} of the largest")
+            return
+        w, self._v = scipy.linalg.eigh(sym.toarray() if sp.issparse(sym) else sym)
         lam_max = max(abs(w[0]), abs(w[-1]), 1.0e-300)
         keep = w > 1e-12 * lam_max
         self._inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
 
     def solve(self, b):
-        """Apply the pseudo-inverse to one vector or to columns of a matrix."""
+        """Apply the (pseudo-)inverse to one vector or to columns of a matrix."""
         b = np.asarray(b, dtype=float)
+        if self._lu is not None:
+            return self._lu.solve(b)
         y = self._v.T @ b
-        if y.ndim == 1:
-            y *= self._inv_w
-        else:
-            y *= self._inv_w[:, None]
-        return self._v @ y
-
-
-def _sparse_lu_solve(m, name):
-    """The solve of a sparse LU of the square scipy matrix ``m``, which must be
-    nonsingular: SuperLU's exactly-singular error and a pivot of at most
-    1e-12 times the largest both raise a ValueError that names ``m``."""
-    try:
-        lu = spla.splu(sp.csc_matrix(m), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-        raise ValueError(f"{name} is singular: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= 1e-12 * pivots.max():
-        raise ValueError(f"{name} is singular: its smallest LU pivot is "
-                         f"{pivots.min() / pivots.max():.1e} of the largest")
-    return lu.solve
+        return self._v @ (y * (self._inv_w if y.ndim == 1 else self._inv_w[:, None]))
 
 
 def _columns(x):

@@ -11,7 +11,8 @@ from amgforge.coarsening import AggregatePartition
 from amgforge.strength import full_strength
 
 
-from tests_support import elasticity_like, point_block_partition
+from tests_support import (elasticity_like, point_block_partition,
+                           refuse_dense_eigh_beyond_cap)
 
 
 def rescaled_laplacian(n, seed=42, spread=2.0):
@@ -127,6 +128,16 @@ class TestBootstrap:
         assert calls == h.level_sizes()[:-1]
         assert len(calls) == 4
 
+    def test_relaxation_alone_beyond_cap(self, monkeypatch):
+        # relaxation meets delta0 on the finest level, which is then the
+        # coarsest; beyond DENSE_CAP it is factored sparse, not densely
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        a0 = problems.fd_poisson_5pt(100).mat
+        a = sparse.from_scipy(a0 + 4.0 * sps.identity(a0.shape[0]), sparse.SYMMETRIC)
+        h, state = bootstrap_setup(a)
+        assert h.level_sizes() == [10000]
+        assert state.delta == 0.0
+
     def test_accepted_delta_monotone(self):
         a, _ = rescaled_laplacian(8, seed=5, spread=2.5)
         _, state = bootstrap_setup(a, m0=2, q=2, n0=20, delta0=1e-6,
@@ -172,6 +183,12 @@ class TestMge:
         lam, _ = mge_eigensolve(h, 2, relax_sweeps=3)
         lam_min = scipy.linalg.eigh(t.toarray(), eigvals_only=True)[0]
         assert (lam >= lam_min - 1e-10).all()
+
+    def test_coarsest_beyond_cap_refused(self, monkeypatch):
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        h = hierarchy.setup(problems.fd_poisson_5pt(46), {"max_levels": 1})
+        with pytest.raises(ValueError, match="DENSE_CAP"):
+            mge_eigensolve(h, 1)
 
     def test_l_e_exceeding_coarsest_rejected(self):
         t = problems.laplace_1d(31)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from amgforge import (analysis, coarsening, hierarchy, interpolation, problems,
@@ -355,9 +356,13 @@ class TestExactOracle:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_coarse_matrix_beyond_cap_named(self):
+        # a P^T A P of order beyond the cap gets the sparse LU, which refuses
+        # it; one within the cap would get the pseudo-inverse instead
         a = problems.fd_poisson_5pt(46)
-        p = np.zeros((a.n_rows, 2))
-        p[0, 0] = 1.0  # the second column is zero, so P^T A P is singular
+        n_c = analysis.DENSE_CAP + 1
+        cols = np.delete(np.arange(n_c), 5)  # column 5 is zero, so P^T A P is singular
+        p = sparse.from_scipy(sps.csr_matrix((np.ones(n_c - 1), (cols, cols)),
+                                             shape=(a.n_rows, n_c)))
         e_act, _ = analysis.two_level_error_action(a, GaussSeidel(a), p)
         with pytest.raises(ValueError, match="coarse matrix"):
             e_act(np.ones(a.n_rows))  # P^T A P is factored at the first action
@@ -521,7 +526,8 @@ class TestFrameCache:
 
     def test_kernel_stays_off_the_cached_frame(self):
         j, gs, ua, kernel = oracle_cases()["jump/ua/gs"]
-        with pytest.raises(ValueError):  # A is singular and no kernel was given
+        # A is singular and no kernel was given
+        with pytest.raises(ValueError, match="singular.*kernel"):
             k_of_vc(j, symmetrize(gs), ua)
         got = two_level_report(j, gs, ua, kernel=kernel, include_mu=True)
         want = two_level_report(j, smoothers.make_smoother(j, "gs"), ua, kernel=kernel,
@@ -529,5 +535,6 @@ class TestFrameCache:
         assert (got.e_norm_sq, got.k_vc) == (want.e_norm_sq, want.k_vc)
         assert got.mu_spectrum.tobytes() == want.mu_spectrum.tobytes()
         assert analysis._frame(j, symmetrize(gs)).kernel is None
-        with pytest.raises(ValueError):  # the report's kernel did not stay behind
+        # the report's kernel did not stay behind
+        with pytest.raises(ValueError, match="singular.*kernel"):
             k_of_vc(j, symmetrize(gs), ua)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from amgforge import cli, io_mm, problems, sparse
-from amgforge.cli import EXIT_NONCONVERGENCE, EXIT_OK, EXIT_USAGE, load_config, main
+from amgforge import cli, hierarchy, io_mm, problems, sparse
+from amgforge.cli import (EXIT_INTERNAL, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_USAGE,
+                          load_config, main)
+from tests_support import refuse_dense_eigh_beyond_cap
 
 
 class TestConfig:
@@ -137,6 +139,29 @@ class TestSolve:
         assert code == EXIT_NONCONVERGENCE
         assert "smoother=line-gs" in err and "no grid lines" in err
         assert "coarsening=" not in err and "theta" not in err
+
+    def test_singular_coarsest_beyond_cap_is_setup_error(self, tmp_path, monkeypatch,
+                                                         capsys):
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        out = tmp_path / "neumann.mtx"
+        io_mm.write_matrix_market(out, problems.fd_poisson_5pt(100, "neumann"))
+        code = main(["solve", "--matrix", str(out), "--set", "max_levels=2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "setup failed" in err and "coarsest matrix is singular" in err
+
+    def test_linalg_error_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError, but a failed factorization inside the
+        # library is no usage error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(hierarchy, "setup", fail)
+        out = tmp_path / "a.mtx"
+        io_mm.write_matrix_market(out, problems.fd_poisson_5pt(4))
+        code = main(["solve", "--matrix", str(out)])
+        assert code == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
     def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "nan.mtx"

@@ -11,7 +11,8 @@ from amgforge.interpolation import verify_full_rank
 from amgforge.linalg import SymPseudoInverse
 
 from test_analysis import MODEL_FAMILIES
-from tests_support import elasticity_like, point_block_partition
+from tests_support import (elasticity_like, point_block_partition,
+                           refuse_dense_eigh_beyond_cap)
 
 
 class TestSetup:
@@ -61,6 +62,24 @@ class TestSetup:
         assert h.levels[0].strength is not None
         assert h.levels[0].coarsening is not None
         assert h.levels[0].p is not None
+
+
+class TestCoarsestBeyondCap:
+    """Beyond DENSE_CAP the coarsest level is factored by a sparse LU: no
+    dense eigendecomposition of its order is formed."""
+
+    def test_large_coarsest_level_solved(self, monkeypatch):
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        a = problems.fd_poisson_5pt(100)
+        h = setup(a, {"max_levels": 2})
+        assert h.level_sizes() == [10000, 3302]
+        _, report = pcg_solve(a, np.ones(a.n_rows), h)
+        assert report.converged
+
+    def test_singular_coarsest_level_refused(self, monkeypatch):
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        with pytest.raises(SetupError, match="coarsest matrix is singular"):
+            setup(problems.fd_poisson_5pt(100, "neumann"), {"max_levels": 2})
 
 
 def two_level_hierarchy(a, config=None):

@@ -1,9 +1,24 @@
-"""Shared fixtures for the adaptive and acceptance tests."""
+"""Shared fixtures for the adaptive, acceptance and cap tests."""
 
 import numpy as np
+import scipy.linalg
 
 from amgforge import problems, sparse
 from amgforge.coarsening import AggregatePartition
+from amgforge.linalg import DENSE_CAP
+
+
+def refuse_dense_eigh_beyond_cap(monkeypatch):
+    """Make ``scipy.linalg.eigh`` fail on any matrix of order > DENSE_CAP, so
+    a test shows its path never forms such a dense eigendecomposition."""
+    eigh = scipy.linalg.eigh
+
+    def capped(a, *args, **kwargs):
+        if np.shape(a)[0] > DENSE_CAP:
+            raise AssertionError(f"dense eigh of order {np.shape(a)[0]} > DENSE_CAP")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", capped)
 
 
 def elasticity_like(nx, ny):
