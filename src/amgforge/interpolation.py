@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, _columns
+from .linalg import DENSE_CAP, _columns, _stack_by_size
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
@@ -175,11 +175,22 @@ def multipass_interpolation(a, split, s):
     return Prolongation(from_scipy(p), "multipass")
 
 
+def _membership(labels, n_groups):
+    """The n_groups x labels.size 0/1 matrix with row k the ascending indices i
+    of ``labels == k``.  scipy's COO-to-CSR conversion is a counting sort that
+    keeps input order within a row, so this is O(labels.size + n_groups).
+    """
+    return sp.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))),
+                         shape=(n_groups, labels.size))
+
+
 def ua_prolongation(partition, vectors=None):
     """Piecewise-constant (or per-aggregate multi-vector) prolongation.
 
     With k preserved vectors the coarse dofs are aggregate-major blocks of
-    width k, and P (1 (x) e_j) reproduces vector j exactly.
+    width k, and P (1 (x) e_j) reproduces vector j exactly.  Every aggregate
+    block must have rank k; the ranks come from one stacked SVD per
+    aggregate size, so the cost is linear in n for bounded aggregate sizes.
     """
     n = partition.n
     if vectors is None:
@@ -187,21 +198,19 @@ def ua_prolongation(partition, vectors=None):
                             shape=(n, partition.n_aggregates))
         return Prolongation(from_scipy(mat), "ua")
     vectors = _columns(vectors)
+    if vectors.shape[0] != n or not np.isfinite(vectors).all():
+        raise ValueError(f"vectors must be {n} finite rows, one per vertex")
     k = vectors.shape[1]
-    rows, cols, vals = [], [], []
-    for agg in range(partition.n_aggregates):
-        members = partition.members(agg)
-        block = vectors[members]
-        if np.linalg.matrix_rank(block) < k:
-            raise InterpolationError(
-                f"aggregate {agg} is too small to carry {k} independent vectors")
-        for local, vertex in enumerate(members):
-            for j in range(k):
-                if block[local, j] != 0.0:
-                    rows.append(vertex)
-                    cols.append(agg * k + j)
-                    vals.append(block[local, j])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, partition.n_aggregates * k))
+    member = _membership(partition.labels, partition.n_aggregates)
+    bad = []
+    for pos, idx in _stack_by_size(np.split(member.indices, member.indptr[1:-1])):
+        bad.extend(pos[np.linalg.matrix_rank(vectors[idx]) < k].tolist())
+    if bad:
+        raise InterpolationError(
+            f"aggregate {min(bad)} is too small to carry {k} independent vectors")
+    rows, cols = np.nonzero(vectors)
+    mat = sp.coo_matrix((vectors[rows, cols], (rows, partition.labels[rows] * k + cols)),
+                        shape=(n, partition.n_aggregates * k))
     return Prolongation(from_scipy(mat), "ua")
 
 
@@ -235,27 +244,47 @@ class SupportSet:
     supports: tuple
 
     def validate(self, n):
-        counts = np.zeros(n, dtype=np.int64)
-        for s in self.supports:
-            counts[np.asarray(s, dtype=np.int64)] += 1
+        """Refuse supports that leave a vertex uncovered (the lowest is named)
+        or that have no private vertex (the lowest such support is named).
+
+        One pass over the concatenated supports: O(n + total support size).
+        """
+        lists = [np.asarray(s, dtype=np.int64).ravel() for s in self.supports]
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)), out=indptr[1:])
+        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
+        outside = np.flatnonzero((flat < 0) | (flat >= n))
+        if outside.size:
+            k = int(np.searchsorted(indptr, outside[0], side="right")) - 1
+            raise ValueError(f"support {k} has an index outside 0..{n - 1}")
+        # a vertex repeated within one support counts once, as for a set
+        incidence = sp.csr_matrix((np.ones(flat.size), flat, indptr), shape=(len(lists), n))
+        incidence.sum_duplicates()
+        counts = np.bincount(incidence.indices, minlength=n)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"supports do not cover vertex {missing}")
-        for k, s in enumerate(self.supports):
-            if not (counts[np.asarray(s, dtype=np.int64)] == 1).any():
-                raise ValueError(
-                    f"support {k} is contained in the union of the others")
+        # private vertices per support by prefix sums: reduceat misreads empty segments
+        private = np.concatenate([[0], np.cumsum(counts[incidence.indices] == 1)])
+        shared = np.flatnonzero(private[incidence.indptr[1:]] == private[incidence.indptr[:-1]])
+        if shared.size:
+            raise ValueError(f"support {int(shared[0])} is contained in the union of the others")
 
 
 def supports_from_aggregates(partition, s):
-    """Each aggregate extended by its strong neighbors; roots stay private."""
+    """Each aggregate extended by its strong neighbors; roots stay private.
+
+    Support k is row k of ``member @ (S + I)`` (patterns only), with
+    ``member`` the aggregate membership matrix: one sparse product, linear
+    in n + nnz(S).
+    """
     adj = s.to_scipy()
-    sets = []
-    for agg in range(partition.n_aggregates):
-        members = partition.members(agg)
-        halo = adj[members].tocoo().col
-        sets.append(np.unique(np.concatenate([members, halo])))
-    return SupportSet(tuple(sets))
+    pattern = sp.csr_matrix((np.ones(adj.indices.size), adj.indices, adj.indptr),
+                            shape=adj.shape)
+    closed = pattern + sp.identity(partition.n, format="csr")
+    reach = _membership(partition.labels, partition.n_aggregates) @ closed
+    reach.sort_indices()
+    return SupportSet(tuple(np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])))
 
 
 def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
@@ -364,13 +393,18 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
     a = assembly.assemble()
     n = a.n_rows
     global_diag = a.diagonal()
-    members = []
-    for j in range(n_agg):
-        verts = sorted({int(v) for e in np.flatnonzero(labels == j)
-                        for v in assembly.elements[e][0]})
-        if not verts:
-            raise ValueError(f"agglomerate {j} owns no elements")
-        members.append(np.array(verts, dtype=np.int64))
+    empty = np.flatnonzero(np.bincount(labels, minlength=n_agg) == 0)
+    if empty.size:
+        raise ValueError(f"agglomerate {empty[0]} owns no elements")
+    # agglomerate j's vertices, ascending: row j of (agglomerate x element) @
+    # (element x vertex) incidence, one sparse product in O(n + elements)
+    elem_verts = np.array([v for v, _ in assembly.elements], dtype=np.int64)
+    incidence = sp.csr_matrix((np.ones(elem_verts.size), elem_verts.ravel(),
+                               np.arange(0, elem_verts.size + 1, elem_verts.shape[1])),
+                              shape=(labels.size, n))
+    reach = _membership(labels, n_agg) @ incidence
+    reach.sort_indices()
+    members = np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])
     pos = [dict((int(v), k) for k, v in enumerate(m)) for m in members]
     local_mats = [np.zeros((m.size, m.size)) for m in members]
     for e, (verts, block) in enumerate(assembly.elements):

@@ -298,6 +298,15 @@ class TestPcg:
         assert np.abs(x - 1.0).max() <= 1e-6
         assert 0.0 < report.convergence_factor <= 1.0
 
+    def test_one_column_projection_is_bitwise_the_block_one(self):
+        rng = np.random.default_rng(5)
+        for kernel in (np.ones(16900), rng.standard_normal((16900, 1))):
+            q, _ = np.linalg.qr(kernel.reshape(-1, 1))
+            proj = hierarchy._kernel_projector(kernel)
+            for _ in range(20):
+                v = rng.standard_normal(16900) * 10.0 ** rng.uniform(-3, 6)
+                assert np.array_equal(proj(v), v - q @ (q.T @ v))
+
     def test_neumann_with_kernel(self):
         a = problems.fd_poisson_5pt(6, "neumann")
         rng = np.random.default_rng(3)

@@ -185,6 +185,42 @@ class TestAggregation:
         with pytest.raises(InterpolationError, match="aggregate"):
             ua_prolongation(part, z)
 
+    def test_vectors_match_per_aggregate_reference(self):
+        a = problems.fe_jump_coefficient(12, 1e-6)[0]
+        part = coarsening.greedy_aggregate(strength_matrix(a, StrengthConfig()))
+        rng = np.random.default_rng(3)
+        z = np.column_stack([np.ones(a.n_rows), rng.standard_normal(a.n_rows)])
+        z[rng.random(a.n_rows) < 0.2, 1] = 0.0  # zeros stay out of the pattern
+        rows, cols, vals = [], [], []
+        for agg in range(part.n_aggregates):
+            for vertex in part.members(agg):
+                for j in range(2):
+                    if z[vertex, j] != 0.0:
+                        rows.append(vertex)
+                        cols.append(2 * agg + j)
+                        vals.append(z[vertex, j])
+        ref = sparse.from_scipy(sps.coo_matrix(
+            (vals, (rows, cols)), shape=(a.n_rows, 2 * part.n_aggregates))).mat
+        got = ua_prolongation(part, z).matrix.mat
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+            assert getattr(got, field).dtype == getattr(ref, field).dtype, field
+
+    def test_lowest_rank_deficient_aggregate_named(self):
+        # aggregates 1 (size 2) and 3 (size 3) are rank deficient; the
+        # stacks go by size, so the larger bad aggregate is seen first
+        labels = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3])
+        z = np.column_stack([np.ones(10), np.arange(10.0)])
+        z[3:5, 1] = 1.0
+        z[7:10, 1] = 2.0
+        with pytest.raises(InterpolationError, match="aggregate 1 "):
+            ua_prolongation(AggregatePartition(labels, 4), z)
+
+    def test_vectors_of_wrong_length_refused(self):
+        part = AggregatePartition(np.array([0, 0, 1, 1]), 2)
+        with pytest.raises(ValueError, match="4 finite rows"):
+            ua_prolongation(part, np.ones((5, 1)))
+
 
 class TestSmoothedAggregation:
     def test_kernel_vector_survives_smoothing(self):
@@ -259,6 +295,32 @@ class TestEnergyMin:
             SupportSet((np.array([0, 1]),)).validate(3)
         with pytest.raises(ValueError, match="contained"):
             SupportSet((np.array([0, 1]), np.array([0, 1, 2]))).validate(3)
+
+    def test_validation_names_lowest_bad_support(self):
+        # supports 1, 2 and 3 have no private vertex
+        sup = [np.array([0, 1]), np.array([1, 2]), np.array([2, 3, 4]), np.array([4]),
+               np.array([3, 5])]
+        with pytest.raises(ValueError, match="support 1 is contained"):
+            SupportSet(tuple(sup)).validate(6)
+        sup = [np.array([0, 1]), np.array([1]), np.array([2, 3]), np.array([3])]
+        with pytest.raises(ValueError, match="support 1 is contained"):
+            SupportSet(tuple(sup)).validate(4)
+        with pytest.raises(ValueError, match="cover vertex 2"):
+            SupportSet((np.array([0]), np.array([4]), np.array([1]))).validate(5)
+
+    def test_empty_support_refused(self):
+        for sup in ((np.array([0, 1]), np.array([], dtype=np.int64)),
+                    (np.array([], dtype=np.int64), np.array([0, 1])),
+                    (np.array([0]), np.array([], dtype=np.int64), np.array([1]))):
+            empty = next(k for k, s in enumerate(sup) if s.size == 0)
+            with pytest.raises(ValueError, match=f"support {empty} is contained"):
+                SupportSet(sup).validate(2)
+
+    def test_repeated_vertex_counts_once(self):
+        # vertex 1 is private to support 1 even though support 1 lists it twice
+        SupportSet((np.array([0, 2]), np.array([1, 1, 2]))).validate(3)
+        with pytest.raises(ValueError, match="support 1 has an index outside"):
+            SupportSet((np.array([0, 1]), np.array([2, 3]))).validate(3)
 
     def test_singular_local_block_named(self):
         a = problems.laplace_1d(4, "neumann")
@@ -535,3 +597,26 @@ def test_classical_p_properties_on_random_m_matrices(n, seed, density, theta):
             rows, cols = mat[fine].nonzero()
             assert (within[name][fine[rows], coarse[cols]] != 0).all(), name
         assert verify_full_rank(p), name
+
+
+SUPPORT_FAMILIES = {
+    "fd5": lambda n: problems.fd_poisson_5pt(n),
+    "fe_aniso": lambda n: problems.fe_anisotropic(n, 1e-3),
+    "fe_jump": lambda n: problems.fe_jump_coefficient(n, 1e-6)[0],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SUPPORT_FAMILIES)), st.integers(2, 12),
+       st.integers(0, 2**32 - 1))
+def test_supports_equal_per_aggregate_union(family, n, seed):
+    a = SUPPORT_FAMILIES[family](n)
+    s = strength_matrix(a, StrengthConfig())
+    part = coarsening.greedy_aggregate(s, np.random.default_rng(seed).permutation(a.n_rows))
+    adj = s.to_scipy()
+    got = supports_from_aggregates(part, s).supports
+    assert len(got) == part.n_aggregates
+    for k, support in enumerate(got):
+        members = part.members(k)
+        ref = np.unique(np.concatenate([members, adj[members].tocoo().col]))
+        assert support.dtype == ref.dtype and np.array_equal(support, ref), k
