@@ -146,9 +146,8 @@ def greedy_aggregate(s, order=None):
 
 
 def _single_pass_matching(a):
-    rows, cols, score = _pairwise_values(a, "pair_local_opt")
-    start = np.searchsorted(rows, np.arange(a.n_rows + 1)).tolist()
-    cols, score = cols.tolist(), score.tolist()
+    start, _, cols, score = _pairwise_values(a, "pair_local_opt")
+    start, cols, score = start.tolist(), cols.tolist(), score.tolist()
     labels = [-1] * a.n_rows
     n_agg = 0
     for i in range(a.n_rows):

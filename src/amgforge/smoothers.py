@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .linalg import _stack_by_size
+from .sparse import _masked_indptr
 
 
 class SingularSmootherError(ValueError):
@@ -36,17 +37,22 @@ def _check_diagonal(a):
     return d
 
 
-def _lower_solver(a, block_of, omega, ordering):
+def _lower_solver(a, block_of, omega, ordering, panel_size=None):
     """Sparse LU of the block-lower triangle of A (the a_ij with block_of[i]
-    >= block_of[j]), its diagonal blocks divided by omega."""
-    coo = a.mat.tocoo()
-    bi, bj = block_of[coo.row], block_of[coo.col]
+    >= block_of[j]), its diagonal blocks divided by omega.
+
+    The triangle is masked out of A's CSC arrays, whose row indices already
+    ascend within each column."""
+    csc = a.mat.tocsc()
+    bi = block_of[csc.indices]
+    bj = np.repeat(block_of, np.diff(csc.indptr))
     keep = bi >= bj
-    vals = np.where(bi == bj, coo.data / omega, coo.data)
-    t = sp.csc_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=a.shape)
+    vals = np.where(bi == bj, csc.data / omega, csc.data)
+    t = sp.csc_matrix((vals[keep], csc.indices[keep], _masked_indptr(csc.indptr, keep)),
+                      shape=a.shape)
     try:
         return spla.splu(t, permc_spec=ordering, diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": False})
+                         panel_size=panel_size, options={"SymmetricMode": False})
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise SingularSmootherError(f"Gauss-Seidel triangle is singular: {exc}") from exc
 
@@ -124,7 +130,9 @@ class GaussSeidel(Smoother):
             raise ValueError("omega must be positive")
         _check_diagonal(a)
         self.omega = float(omega)
-        self._lu = _lower_solver(a, np.arange(self.n), self.omega, "NATURAL")
+        # no fill and no reordering, so SuperLU's column panels only cost time
+        self._lu = _lower_solver(a, np.arange(self.n), self.omega, "NATURAL",
+                                 panel_size=1)
 
     def action(self, g):
         return self._lu.solve(g, trans=self._trans)

@@ -134,14 +134,35 @@ class Graph:
                              shape=(self.n_vertices, self.n_vertices))
 
 
+def _index_dtype(maxval):
+    """The index dtype scipy gives a CSR matrix with indices and counts up
+    to ``maxval``."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _masked_indptr(indptr, keep):
+    """Row pointer of the compressed entries where ``keep`` holds, for
+    entries laid out by ``indptr`` (the counts fit indptr's own dtype)."""
+    ptr = np.zeros(keep.size + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=ptr[1:])
+    return ptr[indptr]
+
+
 def graph_from_scipy(pattern):
-    """Graph from a boolean/binary sparse pattern; symmetrizes, drops diagonal."""
-    m = sp.csr_matrix(pattern)
+    """Graph from a non-negative sparse pattern: edge (i, j) wherever i != j
+    and the pattern is nonzero at (i, j) or (j, i)."""
+    m = sp.csr_matrix(pattern, copy=True)  # sum_duplicates works in place
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"graph pattern must be square, got shape {m.shape}")
+    m.sum_duplicates()
+    rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+    keep = (rows != m.indices) & (m.data != 0)
+    m = sp.csr_matrix((np.ones(np.count_nonzero(keep), dtype=bool), m.indices[keep],
+                       _masked_indptr(m.indptr, keep)), shape=m.shape)
+    # both operands are sorted and duplicate-free, so the sum is a linear
+    # merge that comes out sorted
     m = m + m.T
-    m.setdiag(0)
-    m.eliminate_zeros()
-    m.sort_indices()
-    return Graph(m.shape[0], m.indptr.copy(), m.indices.copy())
+    return Graph(m.shape[0], m.indptr, m.indices)
 
 
 def adjacency_graph(a):

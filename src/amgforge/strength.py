@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import Graph, graph_from_scipy
+from .sparse import Graph, _index_dtype, _masked_indptr, graph_from_scipy
 from .smoothers import GaussSeidel
 
 VARIANTS = ("classical_sym", "avg_sym", "cauchy_s1", "cauchy_s2",
@@ -58,41 +58,58 @@ class StrengthMatrix:
         return self.graph.to_scipy()
 
 
-def _neg_row_max(a):
+def _off_diagonal(a):
+    """A's off-diagonal entries in CSR order: (row starts, rows, cols, values).
+
+    Row ids are expanded from A's indptr and the diagonal is masked out; the
+    row starts are A's indptr less the diagonal entries dropped before each
+    row.
+    """
+    mat = a.mat
+    rows = np.repeat(np.arange(a.n_rows, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    off = rows != mat.indices
+    return _masked_indptr(mat.indptr, off), rows[off], mat.indices[off], mat.data[off]
+
+
+def _row_reduce(ufunc, start, x):
+    """ufunc over each row's segment x[start[i]:start[i+1]], 0 for empty rows.
+
+    ``reduceat`` reads an empty segment as the single entry at its start, so
+    only the starts of non-empty rows are passed.
+    """
+    out = np.zeros(start.size - 1)
+    full = np.flatnonzero(np.diff(start))
+    if full.size:
+        out[full] = ufunc.reduceat(x, start[full])
+    return out
+
+
+def _neg_row_max(start, vals):
     """max_k(-a_ik) per row over off-diagonal entries, 0 if none negative."""
-    m = a.mat.copy()
-    m.setdiag(0)
-    m.eliminate_zeros()
-    neg = -m.minimum(0)
-    return np.asarray(neg.max(axis=1).todense()).ravel()
+    return np.maximum(_row_reduce(np.maximum, start, -vals), 0.0)
 
 
-def _abs_row_mean(a):
+def _abs_row_mean(start, vals):
     """(1/|N(i)|) sum_k |a_ik| per row over off-diagonal entries."""
-    m = a.mat.copy()
-    m.setdiag(0)
-    m.eliminate_zeros()
-    counts = np.maximum(np.diff(m.indptr), 1)
-    sums = np.asarray(abs(m).sum(axis=1)).ravel()
-    return sums / counts
+    counts = np.maximum(np.diff(start), 1)
+    return _row_reduce(np.add, start, np.abs(vals)) / counts
 
 
 def _pairwise_values(a, variant):
-    """Sparse symmetric matrix of s_c values on the off-diagonal pattern of A."""
-    coo = a.mat.tocoo()
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
+    """s_c on the off-diagonal pattern of A: (row starts, rows, cols, s) in
+    CSR order."""
+    start, rows, cols, vals = _off_diagonal(a)
     diag = a.diagonal()
     if variant == "classical_sym":
         # pairs with a_ij > 0 are ignored (value 0); the symmetrization keeps
         # an edge only when both endpoints see it as strong, so the larger
         # row maximum sits in the denominator
-        row_max = _neg_row_max(a)
+        row_max = _neg_row_max(start, vals)
         denom = np.maximum(row_max[rows], row_max[cols])
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where((denom > 0.0) & (vals < 0.0), -vals / denom, 0.0)
     elif variant == "avg_sym":
-        means = _abs_row_mean(a)
+        means = _abs_row_mean(start, vals)
         s = np.abs(vals) / np.maximum(means[rows], means[cols])
     elif variant == "cauchy_s1":
         s = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
@@ -107,21 +124,20 @@ def _pairwise_values(a, variant):
         s[ok] = (1.0 - s1[ok] * s1[ok]) / (1.0 - s2[ok])
     else:
         raise ValueError(f"unknown entrywise variant {variant!r}")
-    return rows, cols, s
+    return start, rows, cols, s
 
 
 def _affinity_values(a, cfg):
-    """Relaxed-test-vector affinity on the off-diagonal pattern of A."""
+    """Relaxed-test-vector affinity on the off-diagonal pattern of A:
+    (row starts, rows, cols, s) in CSR order."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(-1.0, 1.0, size=(a.n_rows, cfg.affinity_k))
     x = GaussSeidel(a, 1.0).apply(np.zeros_like(x), x, sweeps=cfg.affinity_nu)
-    coo = a.mat.tocoo()
-    off = coo.row != coo.col
-    rows, cols = coo.row[off], coo.col[off]
+    start, rows, cols, _ = _off_diagonal(a)
     dots = np.einsum("ij,ij->i", x[rows], x[cols])
     norms = np.einsum("ij,ij->i", x, x)
     s = dots**2 / (norms[rows] * norms[cols])
-    return rows, cols, s
+    return start, rows, cols, s
 
 
 def strength_matrix(a, cfg=StrengthConfig()):
@@ -130,17 +146,18 @@ def strength_matrix(a, cfg=StrengthConfig()):
         raise ValueError("strength matrices are defined for symmetric A")
     flagged = 0
     if cfg.variant == "affinity":
-        rows, cols, s = _affinity_values(a, cfg)
+        start, rows, cols, s = _affinity_values(a, cfg)
     else:
-        rows, cols, s = _pairwise_values(a, cfg.variant)
+        start, rows, cols, s = _pairwise_values(a, cfg.variant)
         if cfg.variant == "classical_sym":
             flagged = int(np.count_nonzero(s == 0.0))
     keep = s >= cfg.theta
-    pattern = sp.coo_matrix(
-        (np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-        shape=a.shape,
-    )
-    graph = graph_from_scipy(pattern)
+    # A is bit-symmetric and every s_c is bit-symmetric in (i, j), so the
+    # kept pairs, still in A's CSR order, are already the sorted, symmetric,
+    # loop-free adjacency: no symmetrization or sort is needed
+    idx = _index_dtype(max(a.n_rows, cols.size))
+    graph = Graph(a.n_rows, _masked_indptr(start, keep).astype(idx, copy=False),
+                  cols[keep].astype(idx, copy=False))
     isolated = np.flatnonzero(np.diff(graph.indptr) == 0).tolist()
     diag = {"isolated_vertices": isolated, "zero_valued_pairs": flagged,
             "seed": cfg.seed if cfg.variant == "affinity" else None}

@@ -222,6 +222,59 @@ class TestOneTriangularFactor:
         assert matvecs == []
 
 
+def coo_route_lu(a, block_of, omega, ordering):
+    """SuperLU factor, at SuperLU's default panel size, of the block-lower
+    triangle assembled from A's COO triplets."""
+    coo = a.mat.tocoo()
+    bi, bj = block_of[coo.row], block_of[coo.col]
+    keep = bi >= bj
+    vals = np.where(bi == bj, coo.data / omega, coo.data)
+    t = sps.csc_matrix((vals[keep], (coo.row[keep], coo.col[keep])), shape=a.shape)
+    return spla.splu(t, permc_spec=ordering, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": False})
+
+
+GS_PROBLEMS = {
+    "fd5": lambda: problems.fd_poisson_5pt(12),
+    "fe_jump": lambda: problems.fe_jump_coefficient(10, 1e-6)[0],
+    "fe_aniso": lambda: problems.fe_anisotropic(12, 1e-3),
+}
+
+
+class TestTriangleFromCsrArrays:
+    """The triangle masked out of A's CSC arrays solves bit for bit as the
+    COO-assembled one, the point triangle at panel size 1 included."""
+
+    @staticmethod
+    def assert_same_solves(smoother, lu, rng):
+        for g in (rng.standard_normal(smoother.n), rng.standard_normal((smoother.n, 3))):
+            assert np.array_equal(smoother.action(g), lu.solve(g))
+            assert np.array_equal(smoother.adjoint().action(g), lu.solve(g, trans="T"))
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("name", sorted(GS_PROBLEMS))
+    def test_point_gs(self, name, omega):
+        a = GS_PROBLEMS[name]()
+        lu = coo_route_lu(a, np.arange(a.n_rows), omega, "NATURAL")
+        self.assert_same_solves(GaussSeidel(a, omega), lu, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    @pytest.mark.parametrize("name", sorted(GS_PROBLEMS))
+    def test_line_gs(self, name, direction):
+        a = GS_PROBLEMS[name]()
+        n = int(round(np.sqrt(a.n_rows)))
+        block_of = np.arange(a.n_rows).reshape(n, n)
+        block_of = block_of // n if direction == "x" else block_of % n
+        lu = coo_route_lu(a, block_of.ravel(), 1.0, "MMD_AT_PLUS_A")
+        line = make_smoother(a, "line-gs", direction=direction)
+        self.assert_same_solves(line, lu, np.random.default_rng(4))
+
+    def test_singular_block_triangle_raises(self):
+        bad = sparse.from_dense([[1.0, 0, 0], [0, 1, 1], [0, 1, 1]], sparse.SYMMETRIC)
+        with pytest.raises(SingularSmootherError, match="singular"):
+            BlockGaussSeidel(bad, [[0], [1, 2]])
+
+
 class TestBlockActions:
     @pytest.mark.parametrize("name", ["jacobi", "gs", "sgs", "line-gs",
                                       "subspace", "block-gs"])

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from amgforge import problems, sparse, strength
+from amgforge.smoothers import GaussSeidel, SingularSmootherError
 from amgforge.strength import (StrengthConfig, full_strength, strength_matrix,
                                strength_power)
 
 
 def strength_value(a, i, j, variant):
     """s_c(i, j) of the one stored pair (i, j), read from ``_pairwise_values``."""
-    rows, cols, s = strength._pairwise_values(a, variant)
+    _, rows, cols, s = strength._pairwise_values(a, variant)
     (hit,) = np.flatnonzero((rows == i) & (cols == j))
     return s[hit]
 
@@ -163,3 +165,126 @@ def test_pair_score_bounded_by_one_plus_s1(aii, ajj, frac):
     sc = strength_value(a, 0, 1, "pair_local_opt")
     s1 = strength_value(a, 0, 1, "cauchy_s1")
     assert sc <= 1.0 + s1 + 1e-12
+
+
+def coo_route_graph(pattern):
+    """Graph of a pattern by a sparse sum with its transpose, the diagonal
+    set to zero and dropped, then a sort: the reference for both
+    ``graph_from_scipy`` and the strength graph built from CSR arrays."""
+    m = sp.csr_matrix(pattern)
+    m = m + m.T
+    m.setdiag(0)
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m.indptr, m.indices
+
+
+def coo_route_strength(a, cfg):
+    """(indptr, indices, diagnostics) of S from A's COO triplets: row maxima
+    and means from the off-diagonal scipy matrix, the kept pairs through
+    ``coo_route_graph``."""
+    coo = a.mat.tocoo()
+    off = coo.row != coo.col
+    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
+    m = sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+    diag = a.diagonal()
+    flagged = 0
+    if cfg.variant == "classical_sym":
+        row_max = np.asarray((-m.minimum(0)).max(axis=1).todense()).ravel()
+        denom = np.maximum(row_max[rows], row_max[cols])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where((denom > 0.0) & (vals < 0.0), -vals / denom, 0.0)
+        flagged = int(np.count_nonzero(s == 0.0))
+    elif cfg.variant == "avg_sym":
+        means = np.asarray(abs(m).sum(axis=1)).ravel() / np.maximum(np.diff(m.indptr), 1)
+        s = np.abs(vals) / np.maximum(means[rows], means[cols])
+    elif cfg.variant == "cauchy_s1":
+        s = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
+    elif cfg.variant == "cauchy_s2":
+        s = -2.0 * vals / (diag[rows] + diag[cols])
+    elif cfg.variant == "pair_local_opt":
+        s1 = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
+        s2 = -2.0 * vals / (diag[rows] + diag[cols])
+        s = np.full(vals.shape, np.inf)
+        ok = s2 < 1.0
+        s[ok] = (1.0 - s1[ok] * s1[ok]) / (1.0 - s2[ok])
+    else:
+        x = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, size=(a.n_rows, cfg.affinity_k))
+        x = GaussSeidel(a, 1.0).apply(np.zeros_like(x), x, sweeps=cfg.affinity_nu)
+        dots = np.einsum("ij,ij->i", x[rows], x[cols])
+        norms = np.einsum("ij,ij->i", x, x)
+        s = dots**2 / (norms[rows] * norms[cols])
+    keep = s >= cfg.theta
+    indptr, indices = coo_route_graph(sp.coo_matrix(
+        (np.ones(int(keep.sum())), (rows[keep], cols[keep])), shape=a.shape))
+    diagnostics = {"isolated_vertices": np.flatnonzero(np.diff(indptr) == 0).tolist(),
+                   "zero_valued_pairs": flagged,
+                   "seed": cfg.seed if cfg.variant == "affinity" else None}
+    return indptr, indices, diagnostics
+
+
+def perturbed_model_problem(kind, k, seed):
+    """A bit-symmetric model problem with its off-diagonal pairs rescaled and
+    some of their signs flipped, one vertex isolated (diagonal kept) and one
+    row and column emptied."""
+    a = {"laplace_1d": lambda: problems.laplace_1d(k + 2),
+         "fd5": lambda: problems.fd_poisson_5pt(k),
+         "fe_aniso": lambda: problems.fe_anisotropic(k, 1e-2)}[kind]()
+    rng = np.random.default_rng(seed)
+    upper = sp.triu(a.mat, 1).tocoo()
+    upper.data = upper.data * rng.uniform(0.5, 2.0, upper.nnz) \
+        * np.where(rng.random(upper.nnz) < 0.3, -1.0, 1.0)
+    isolated, empty = rng.choice(a.n_rows, 2, replace=False)
+    drop = np.isin(upper.row, [isolated, empty]) | np.isin(upper.col, [isolated, empty])
+    upper.data[drop] = 0.0
+    d = a.diagonal().copy()
+    d[empty] = 0.0
+    return sparse.from_scipy(upper + upper.T + sp.diags(d), sparse.SYMMETRIC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(strength.VARIANTS), st.sampled_from(["laplace_1d", "fd5", "fe_aniso"]),
+       st.integers(2, 6), st.integers(0, 2**31), st.floats(0.05, 1.0))
+def test_strength_graph_matches_coo_route(variant, kind, k, seed, theta):
+    a = perturbed_model_problem(kind, k, seed)
+    cfg = StrengthConfig(variant, theta, seed=seed % 7)
+    if variant == "affinity":  # its relaxation refuses the emptied row: isolate it
+        with pytest.raises(SingularSmootherError):
+            strength_matrix(a, cfg)
+        a = sparse.from_scipy(a.mat + sp.diags((a.diagonal() == 0.0) * 1.0), sparse.SYMMETRIC)
+    indptr, indices, diagnostics = coo_route_strength(a, cfg)
+    s = strength_matrix(a, cfg)
+    for got, want in ((s.graph.indptr, indptr), (s.graph.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert s.diagnostics == diagnostics
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 2**31),
+       st.sampled_from(["coo", "csr", "unsorted csr"]))
+def test_graph_from_scipy_matches_sum_with_transpose(n, nnz, seed, fmt):
+    # non-negative weights with explicit zeros; the draws repeat entries
+    # and hit the diagonal
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    vals = rng.choice([0.0, 0.5, 1.0, 2.0], nnz)
+    if fmt == "unsorted csr":  # rows grouped, columns in draw order, duplicates kept
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        pattern = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+    else:
+        pattern = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).asformat(fmt)
+    before = pattern.copy()
+    indptr, indices = coo_route_graph(pattern)
+    g = sparse.graph_from_scipy(pattern)
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if fmt != "coo":  # the caller's arrays are left as they were
+        for got, want in ((pattern.indptr, before.indptr), (pattern.indices, before.indices),
+                          (pattern.data, before.data)):
+            assert np.array_equal(got, want)
+
+
+def test_graph_from_scipy_refuses_non_square():
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        sparse.graph_from_scipy(sp.csr_matrix(np.ones((2, 3))))
