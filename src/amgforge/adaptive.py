@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
-# SymPseudoInverse is unused since Hierarchy.from_levels factors; perfbench/tracer.py patches it.
+# perfbench/tracer.py patches SymPseudoInverse in this module by name, so it stays bound.
 from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _stack_by_size  # noqa: F401
 from .smoothers import make_smoother
 
@@ -96,17 +96,12 @@ def _block_delta(a, before, after):
 
 def _restrict_bamg(part, psi):
     """Coarse dof evaluations: aggregate averages of each test vector."""
-    counts = np.bincount(part.labels, minlength=part.n_aggregates)
-    return (interpolation.ua_prolongation(part).matrix.mat.T @ psi) / counts[:, None]
+    return (interpolation.ua_prolongation(part).matrix.mat.T @ psi) / part.sizes()[:, None]
 
 
 def _restrict_asa(part, psi):
     """Block coordinates: vector j maps to (1 (x) e_j) over aggregate blocks."""
-    m = psi.shape[1]
-    out = np.zeros((part.n_aggregates * m, m))
-    for j in range(m):
-        out[j::m, j] = 1.0
-    return out
+    return np.tile(np.eye(psi.shape[1]), (part.n_aggregates, 1))
 
 
 def _first_per_row(ptr, vals, n_vals):
@@ -168,7 +163,7 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
         parts.append(part)
         current = sparse.galerkin_product(p.matrix, current)
         cur_psi = psi_c
-    return hmod.Hierarchy.from_levels(levels), vectors, parts
+    return hmod.Hierarchy(levels), vectors, parts
 
 
 def _cycle_delta(a, h, psi, q):
@@ -290,7 +285,7 @@ def _asa_hierarchy(a, partitions, psi, smoother):
         cur_psi = _restrict_asa(part, cur_psi)
     vectors.append(cur_psi.copy())
     levels.append(hmod.Level(current))
-    return hmod.Hierarchy.from_levels(levels), vectors
+    return hmod.Hierarchy(levels), vectors
 
 
 def asa_add_vector(state, psi):

@@ -158,8 +158,7 @@ def cmd_solve(args):
         rng = np.random.default_rng(int(cfg["problem_seed"]))
         x_exact = rng.standard_normal(a.n_rows)
         if kernel is not None:
-            q, _ = np.linalg.qr(kernel)
-            x_exact -= q @ (q.T @ x_exact)
+            x_exact = hierarchy._kernel_projector(kernel)(x_exact)
         b = a.mat @ x_exact
         print("# manufactured right-hand side from a seeded random solution")
     h = hierarchy.setup(a, setup_config_from(cfg))

@@ -50,9 +50,6 @@ class AggregatePartition:
     def n(self):
         return self.labels.size
 
-    def members(self, k):
-        return np.flatnonzero(self.labels == k)
-
     def sizes(self):
         return np.bincount(self.labels, minlength=self.n_aggregates)
 

@@ -1,4 +1,4 @@
-"""Multilevel hierarchies, two-level and V-cycle application, and PCG.
+"""Multilevel hierarchies, V-cycle application and PCG.
 
 The default cycle is V(1,1) with forward Gauss-Seidel pre-smoothing and
 backward Gauss-Seidel post-smoothing, which makes the cycle operator
@@ -104,10 +104,23 @@ class Level:
 
 @dataclass
 class Hierarchy:
+    """Finished levels, finest first, and what they determine: the factored
+    coarsest operator and the grid and operator complexities.  A coarsest
+    operator the coarse-solve rule refuses raises SetupError."""
+
     levels: list
-    coarsest_solver: SymPseudoInverse
-    grid_complexity: float = 0.0
-    operator_complexity: float = 0.0
+    coarsest_solver: SymPseudoInverse = field(init=False)
+    grid_complexity: float = field(init=False)
+    operator_complexity: float = field(init=False)
+
+    def __post_init__(self):
+        levels = self.levels
+        try:
+            self.coarsest_solver = SymPseudoInverse(levels[-1].a, "coarsest matrix")
+        except ValueError as exc:
+            raise SetupError(f"{exc}; try a larger max_levels or a smaller n0") from exc
+        self.grid_complexity = sum(l.a.n_rows for l in levels) / levels[0].a.n_rows
+        self.operator_complexity = sum(l.a.nnz for l in levels) / max(levels[0].a.nnz, 1)
 
     @property
     def n_levels(self):
@@ -115,22 +128,6 @@ class Hierarchy:
 
     def level_sizes(self):
         return [lvl.a.n_rows for lvl in self.levels]
-
-    @classmethod
-    def from_levels(cls, levels):
-        """Hierarchy over finished levels: factor the coarsest operator and
-        record grid and operator complexities."""
-        try:
-            coarsest_solver = SymPseudoInverse(levels[-1].a, "coarsest matrix")
-        except ValueError as exc:
-            raise SetupError(f"{exc}; try a larger max_levels or a smaller n0") from exc
-        nnz0 = max(levels[0].a.nnz, 1)
-        return cls(
-            levels,
-            coarsest_solver,
-            grid_complexity=sum(l.a.n_rows for l in levels) / levels[0].a.n_rows,
-            operator_complexity=sum(l.a.nnz for l in levels) / nnz0,
-        )
 
 
 @dataclass
@@ -228,14 +225,7 @@ def setup(a, config=None):
         levels.append(Level(current, p, pre, strength=s, coarsening=coarse_obj))
         current = sparse.galerkin_product(p.matrix, current)
     levels.append(Level(current))
-    return Hierarchy.from_levels(levels)
-
-
-def two_level_apply(h, g):
-    """Exact two-level action: coarse correction then one post-smoothing step."""
-    if h.n_levels != 2:
-        raise ValueError("two_level_apply needs a 2-level hierarchy")
-    return vcycle_apply(h, g, 0, 1)
+    return Hierarchy(levels)
 
 
 def _vcycle(h, level, g, nu1, nu2):
@@ -250,7 +240,9 @@ def _vcycle(h, level, g, nu1, nu2):
 
 def vcycle_apply(h, g, nu1=1, nu2=1):
     """One V(nu1, nu2) cycle applied to the residual-like vector g, or to
-    each column of an (n, k) block g in one pass."""
+    each column of an (n, k) block g in one pass.  With (nu1, nu2) = (0, 1)
+    on a two-level hierarchy it is the exact two-level method: coarse
+    correction, then one post-smoothing step."""
     return _vcycle(h, 0, np.asarray(g, dtype=float), nu1, nu2)
 
 

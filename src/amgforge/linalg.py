@@ -8,8 +8,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Largest order n of the dense n x n arrays the package forms on its own: the
-# analysis oracles, ideal interpolation's F block and the SA column-rank check.
+# analysis oracles, ideal interpolation's F block, the SA column-rank check and
+# the generic smoother test of ``smoothers.convergence_bound``.
 DENSE_CAP = 2000
+# Beyond the cap, an LU pivot of at most this times the order times the largest
+# marks a singular matrix, whose smallest pivot reads near 0.15 n eps.
+_SINGULAR_PIVOT = 100 * np.finfo(float).eps
 _STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
 
 
@@ -20,10 +24,10 @@ class SymPseudoInverse:
     Within ``DENSE_CAP``, the pseudo-inverse from a dense eigendecomposition
     of the symmetric part, eigenvalues below ``1e-12 * lambda_max`` treated
     as exact zeros.  Beyond it, the inverse from a sparse LU of the symmetric
-    part: SuperLU's exactly-singular error and a pivot of at most 1e-12 times
-    the largest raise a ValueError that names ``a``.  Coarsest-level solves,
-    coarse corrections and the analysis oracles all solve here, so they
-    agree on what "singular" means.
+    part: SuperLU's exactly-singular error and a pivot of at most
+    ``100 * n * eps`` times the largest, for order n, raise a ValueError that
+    names ``a``.  Coarsest-level solves, coarse corrections and the analysis
+    oracles all solve here, so they agree on what "singular" means.
     """
 
     def __init__(self, a, name="matrix"):
@@ -38,10 +42,11 @@ class SymPseudoInverse:
                 self._lu = spla.splu(sp.csc_matrix(sym), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
                 raise ValueError(f"{name} is singular: {exc}") from exc
-            pivots = np.abs(self._lu.U.diagonal())
-            if pivots.min() <= 1e-12 * pivots.max():
+            pivots, cutoff = np.abs(self._lu.U.diagonal()), _SINGULAR_PIVOT * a.shape[0]
+            if pivots.min() <= cutoff * pivots.max():
                 raise ValueError(f"{name} is singular: its smallest LU pivot is "
-                                 f"{pivots.min() / pivots.max():.1e} of the largest")
+                                 f"{pivots.min() / pivots.max():.1e} of the largest, "
+                                 f"at most 100 n eps = {cutoff:.1e}")
             return
         w, self._v = scipy.linalg.eigh(sym.toarray() if sp.issparse(sym) else sym)
         lam_max = max(abs(w[0]), abs(w[-1]), 1.0e-300)

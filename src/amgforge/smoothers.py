@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import _stack_by_size
+from .linalg import DENSE_CAP, _stack_by_size
 from .sparse import _masked_indptr
 
 
@@ -264,7 +264,8 @@ def convergence_bound(smoother):
     """Largest admissible damping: 2/rho(D^{-1}A) for Jacobi, 2 for Gauss-Seidel.
 
     A symmetrized smoother converges exactly when its inner smoother does,
-    since |I - Rbar A|_A = |I - R A|_A^2.
+    since |I - Rbar A|_A = |I - R A|_A^2.  Any other smoother is tested on
+    its dense symmetrized iterator, which is refused beyond ``DENSE_CAP``.
     """
     if isinstance(smoother, SymmetrizedSmoother):
         return convergence_bound(smoother.inner)
@@ -274,6 +275,9 @@ def convergence_bound(smoother):
     if isinstance(smoother, GaussSeidel):
         return ConvergenceBound(0.0 < smoother.omega < 2.0, 2.0)
     # generic smoothers: convergent iff the symmetrized iterator is SPD
+    if smoother.n > DENSE_CAP:
+        raise ValueError(f"convergence_bound of a {type(smoother).__name__} forms a dense "
+                         f"order-{smoother.n} Rbar, beyond DENSE_CAP = {DENSE_CAP}")
     from .analysis import materialize
 
     rbar = materialize(SymmetrizedSmoother(smoother).action, smoother.n)

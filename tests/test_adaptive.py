@@ -157,8 +157,7 @@ class TestMge:
         gs = smoothers.GaussSeidel(a)
         levels = [hierarchy.Level(a, p, gs),
                   hierarchy.Level(sparse.galerkin_product(p.matrix, a))]
-        h = hierarchy.Hierarchy(levels, hierarchy.SymPseudoInverse(
-            levels[1].a.toarray()))
+        h = hierarchy.Hierarchy(levels)
         lam, phi = mge_eigensolve(h, 1, relax_sweeps=0)
         assert abs(lam[0] - w[0]) <= 1e-10
 

@@ -69,7 +69,7 @@ class TestGreedyAggregate:
         sizes = part.sizes()
         assert sizes.min() >= 2 and sizes.max() <= 9
         for k in range(part.n_aggregates):
-            assert _connected_in(s, part.members(k))
+            assert _connected_in(s, np.flatnonzero(part.labels == k))
 
     def test_isolated_vertex_flagged(self):
         a = sparse.from_dense(
@@ -151,7 +151,7 @@ class TestPairwise:
         part = pairwise_aggregate(a, passes=2)
         s = full_strength(a)
         for k in range(part.n_aggregates):
-            assert _connected_in(s, part.members(k))
+            assert _connected_in(s, np.flatnonzero(part.labels == k))
 
 
 class TestAggressive:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from amgforge import (adaptive, analysis, coarsening, hierarchy, problems, smoothers,
                       sparse, strength)
 from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
                                 Level, SetupConfig, SetupError, pcg_solve,
-                                setup, two_level_apply, vcycle_apply)
+                                setup, vcycle_apply)
 from amgforge.interpolation import verify_full_rank
-from amgforge.linalg import SymPseudoInverse
 
 from test_analysis import MODEL_FAMILIES
 from tests_support import (elasticity_like, point_block_partition,
@@ -81,6 +81,24 @@ class TestCoarsestBeyondCap:
         with pytest.raises(SetupError, match="coarsest matrix is singular"):
             setup(problems.fd_poisson_5pt(100, "neumann"), {"max_levels": 2})
 
+    def test_singular_coarsest_level_refused_at_a_larger_order(self, monkeypatch):
+        # a singular LU's smallest pivot grows with the order: 1.2e-12 of the
+        # largest on this 34,081-unknown coarsest level
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        with pytest.raises(SetupError, match="coarsest matrix is singular"):
+            setup(problems.fd_poisson_5pt(320, "neumann"), {"max_levels": 2})
+
+    def test_nearly_singular_coarsest_level_factored(self, monkeypatch):
+        refuse_dense_eigh_beyond_cap(monkeypatch)
+        a = problems.fe_jump_coefficient(150, 1e-6)[0].mat
+        a = sparse.from_scipy(a + 1e-10 * sps.identity(a.shape[0]), sparse.SYMMETRIC)
+        h = setup(a, {"max_levels": 2, "coarsening": "pairwise", "interpolation": "ua"})
+        assert h.level_sizes() == [23104, 11561]
+        a_c = h.levels[-1].a.mat
+        b = np.random.default_rng(0).standard_normal(a_c.shape[0])
+        x = h.coarsest_solver.solve(b)  # entries near 2e7; smallest pivot 1.4e-7 of the largest
+        assert np.linalg.norm(a_c @ x - b) <= 1e-6 * np.linalg.norm(b)
+
 
 def two_level_hierarchy(a, config=None):
     cfg = dict(config or {})
@@ -92,7 +110,8 @@ def two_level_hierarchy(a, config=None):
 class TestTwoLevelApply:
     def test_zero_maps_to_zero(self):
         h = two_level_hierarchy(problems.fd_poisson_5pt(5))
-        assert np.array_equal(two_level_apply(h, np.zeros(25)), np.zeros(25))
+        assert h.n_levels == 2
+        assert np.array_equal(vcycle_apply(h, np.zeros(25), 0, 1), np.zeros(25))
 
     def test_exact_smoother_gives_exact_inverse(self):
         a = problems.laplace_1d(8)
@@ -105,15 +124,18 @@ class TestTwoLevelApply:
         exact = smoothers.SubspaceCorrection(a, [list(range(8))])
         levels = [Level(a, p, exact),
                   Level(sparse.galerkin_product(p.matrix, a))]
-        h = Hierarchy(levels, SymPseudoInverse(levels[1].a.toarray()))
+        h = Hierarchy(levels)
+        assert h.grid_complexity == (8 + p.n_coarse) / 8
+        assert h.operator_complexity == (a.nnz + levels[1].a.nnz) / a.nnz
         g = np.arange(1.0, 9.0)
-        assert np.abs(two_level_apply(h, g) - np.linalg.solve(a.toarray(), g)).max() <= 1e-10
+        assert np.abs(vcycle_apply(h, g, 0, 1) - np.linalg.solve(a.toarray(), g)).max() <= 1e-10
 
     def test_error_propagator_factorization(self):
         a = problems.fd_poisson_5pt(4)
         h = two_level_hierarchy(a)
+        assert h.n_levels == 2
         n = a.n_rows
-        b_mat = np.column_stack([two_level_apply(h, e) for e in np.eye(n)])
+        b_mat = np.column_stack([vcycle_apply(h, e, 0, 1) for e in np.eye(n)])
         e_mat = np.eye(n) - b_mat @ a.toarray()
         lvl = h.levels[0]
         p = lvl.p.matrix.toarray()
@@ -194,7 +216,7 @@ class TestVCycle:
         # stationary two-level iteration measured contraction factor
         n = a.n_rows
         e_mat = np.eye(n) - np.column_stack(
-            [two_level_apply(h, e) for e in np.eye(n)]) @ a.toarray()
+            [vcycle_apply(h, e, 0, 1) for e in np.eye(n)]) @ a.toarray()
         measured = analysis.error_norm(a, lambda v: e_mat @ v,
                                        lambda v: e_mat.T @ v)
         assert abs(measured - e_rate) <= 2e-3

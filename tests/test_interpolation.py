@@ -193,7 +193,7 @@ class TestAggregation:
         z[rng.random(a.n_rows) < 0.2, 1] = 0.0  # zeros stay out of the pattern
         rows, cols, vals = [], [], []
         for agg in range(part.n_aggregates):
-            for vertex in part.members(agg):
+            for vertex in np.flatnonzero(part.labels == agg):
                 for j in range(2):
                     if z[vertex, j] != 0.0:
                         rows.append(vertex)
@@ -617,6 +617,6 @@ def test_supports_equal_per_aggregate_union(family, n, seed):
     got = supports_from_aggregates(part, s).supports
     assert len(got) == part.n_aggregates
     for k, support in enumerate(got):
-        members = part.members(k)
+        members = np.flatnonzero(part.labels == k)
         ref = np.unique(np.concatenate([members, adj[members].tocoo().col]))
         assert support.dtype == ref.dtype and np.array_equal(support, ref), k

@@ -110,6 +110,22 @@ class TestConvergenceBound:
         a = problems.fd_poisson_5pt(5)
         assert convergence_bound(Jacobi(a, 1.0)).converges
 
+    def test_generic_smoother_tested_on_dense_iterator(self):
+        a = problems.fd_poisson_5pt(5)
+        singletons = SubspaceCorrection(a, [[i] for i in range(a.n_rows)])
+        assert convergence_bound(singletons).converges
+
+    def test_generic_smoother_refused_beyond_cap(self, monkeypatch):
+        a = problems.fd_poisson_5pt(45)
+        singletons = SubspaceCorrection(a, [[i] for i in range(a.n_rows)])
+
+        def no_dense(action, n):
+            raise AssertionError(f"dense order-{n} materialize")
+
+        monkeypatch.setattr("amgforge.analysis.materialize", no_dense)
+        with pytest.raises(ValueError, match="order-2025 .*DENSE_CAP = 2000"):
+            convergence_bound(singletons)
+
 
 class TestSubspaceCorrection:
     def test_psc_singletons_is_jacobi(self):
