@@ -30,7 +30,6 @@ from .smoothers import make_smoother
 class AdaptiveState:
     hierarchy: object
     test_vectors: list  # n x m block of test vectors per level, finest first
-    aggregates: list  # AggregatePartition per level transition
     delta: float
     delta_history: list = field(default_factory=list)
     rounds: int = 0
@@ -132,38 +131,31 @@ def _aggregate_candidates(part, s):
 def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
     """Steps 1-2 of the adaptive loop: build at most ``SetupConfig.max_levels``
     levels and their test vectors."""
-    levels, parts, vectors = [], [], []
-    current, cur_psi = a, psi
-    while True:
-        vectors.append(cur_psi.copy())
-        if current.n_rows <= n0 or len(levels) >= hmod.SetupConfig.max_levels - 1:
-            levels.append(hmod.Level(current))
-            break
-        hmod._refuse_coarse_line_gs(smoother_kind, len(levels))
-        smoother = make_smoother(current, smoother_kind)
-        cur_psi = vectors[-1] = smoother.apply(np.zeros_like(cur_psi), cur_psi, q)
+    vectors = [psi]
+
+    def step(level, a):
+        if a.n_rows <= n0:
+            return None
+        hmod._refuse_coarse_line_gs(smoother_kind, level)
+        smoother = make_smoother(a, smoother_kind)
+        psi = vectors[-1] = smoother.apply(np.zeros_like(vectors[-1]), vectors[-1], q)
         # stop test on the post-transient factor: one extra sweep on the
         # already-relaxed block, so random-start transients cannot end the
         # descent prematurely
-        probe = smoother.apply(np.zeros_like(cur_psi), cur_psi, 1)
-        if _block_delta(current, cur_psi, probe) <= delta0:
-            levels.append(hmod.Level(current))
-            break
-        s = strength.strength_matrix(current, strength.StrengthConfig(theta=theta))
+        probe = smoother.apply(np.zeros_like(psi), psi, 1)
+        if _block_delta(a, psi, probe) <= delta0:
+            return None
+        s = strength.strength_matrix(a, strength.StrengthConfig(theta=theta))
         part = coarsening.greedy_aggregate(s)
-        if part.n_aggregates >= hmod._STAGNATION * current.n_rows:
-            levels.append(hmod.Level(current))
-            break
-        psi_c = _restrict_bamg(part, cur_psi)
-        pattern = [[int(part.labels[v])] for v in range(current.n_rows)]
-        order = _aggregate_candidates(part, s)
-        p = ls_fit_prolongation(cur_psi, psi_c, pattern, s_max=4,
-                                eps_fit=1e-8, candidate_order=order)
-        levels.append(hmod.Level(current, p, smoother, strength=s, coarsening=part))
-        parts.append(part)
-        current = sparse.galerkin_product(p.matrix, current)
-        cur_psi = psi_c
-    return hmod.Hierarchy(levels), vectors, parts
+        if part.n_aggregates >= hmod._STAGNATION * a.n_rows:
+            return None
+        vectors.append(_restrict_bamg(part, psi))
+        pattern = [[int(part.labels[v])] for v in range(a.n_rows)]
+        p = ls_fit_prolongation(psi, vectors[-1], pattern, s_max=4, eps_fit=1e-8,
+                                candidate_order=_aggregate_candidates(part, s))
+        return p, smoother, s, part
+
+    return hmod._build(a, step, hmod.SetupConfig.max_levels), vectors
 
 
 def _cycle_delta(a, h, psi, q):
@@ -190,25 +182,22 @@ def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
                          "asa_initial_state for per-aggregate blocks")
     rng = np.random.default_rng(seed)
     psi = rng.uniform(-1.0, 1.0, size=(a.n_rows, m0))
-    h, vectors, parts = _descend(a, psi, smoother, q, n0, delta0, theta)
+    h, vectors = _descend(a, psi, smoother, q, n0, delta0, theta)
     if h.n_levels == 1:
-        state = AdaptiveState(h, vectors, parts, 0.0, [0.0], smoother=smoother, q=q)
-        return h, state
+        return h, AdaptiveState(h, vectors, 0.0, [0.0], smoother=smoother, q=q)
     delta, relaxed = _cycle_delta(a, h, vectors[0], q)
-    state = AdaptiveState(h, vectors, parts, delta, [delta], smoother=smoother, q=q)
+    state = AdaptiveState(h, vectors, delta, [delta], smoother=smoother, q=q)
     for round_no in range(1, max_rounds + 1):
         if state.delta <= delta0:
             break
         lam, phi = mge_eigensolve(state.hierarchy, l_e=1, relax_sweeps=q)
         enriched = np.column_stack([relaxed, phi[:, 0]])
-        cand_h, cand_vecs, cand_parts = _descend(
-            a, enriched, smoother, q, n0, delta0, theta)
+        cand_h, cand_vecs = _descend(a, enriched, smoother, q, n0, delta0, theta)
         cand_delta, cand_relaxed = _cycle_delta(a, cand_h, cand_vecs[0], q)
         state.rounds = round_no
         if cand_delta <= state.delta:
             state.hierarchy = cand_h
             state.test_vectors = cand_vecs
-            state.aggregates = cand_parts
             state.delta = cand_delta
             relaxed = cand_relaxed
         else:
@@ -270,22 +259,20 @@ def mge_eigensolve(h, l_e, relax_sweeps=2):
 
 
 def _asa_hierarchy(a, partitions, psi, smoother):
-    """aSA levels over fixed aggregates: each P holds the level's test
-    vectors restricted to each aggregate, and the next level's test vectors
-    are their block coordinates.  Returns (hierarchy, test vectors per level).
+    """aSA levels over fixed aggregates, one level per partition plus the
+    coarsest: each P holds the level's test vectors restricted to each
+    aggregate, and the next level's test vectors are their block coordinates.
+    Returns (hierarchy, test vectors per level).
     """
-    levels, vectors = [], []
-    current, cur_psi = a, psi
-    for part in partitions:
-        vectors.append(cur_psi.copy())
-        p = interpolation.ua_prolongation(part, cur_psi)
-        levels.append(hmod.Level(current, p, make_smoother(current, smoother),
-                                 coarsening=part))
-        current = sparse.galerkin_product(p.matrix, current)
-        cur_psi = _restrict_asa(part, cur_psi)
-    vectors.append(cur_psi.copy())
-    levels.append(hmod.Level(current))
-    return hmod.Hierarchy(levels), vectors
+    vectors = [psi.copy()]
+
+    def step(level, a):
+        part = partitions[level]
+        p = interpolation.ua_prolongation(part, vectors[-1])
+        vectors.append(_restrict_asa(part, vectors[-1]))
+        return p, make_smoother(a, smoother), None, part
+
+    return hmod._build(a, step, len(partitions) + 1), vectors
 
 
 def asa_add_vector(state, psi):
@@ -300,14 +287,14 @@ def asa_add_vector(state, psi):
     levels = state.hierarchy.levels
     if levels[0].p is None or levels[0].p.builder != "ua":
         raise ValueError("asa_add_vector needs a state from asa_initial_state")
-    if len(state.aggregates) != 1:
+    if len(levels) != 2:
         raise ValueError(f"asa_add_vector needs a state with one partition, "
-                         f"got {len(state.aggregates)} partitions")
+                         f"got {len(levels) - 1} partitions")
     a = levels[0].a
     psi = np.asarray(psi, dtype=float)
     psi_block = np.column_stack([state.test_vectors[0], psi])
     try:
-        h, vectors = _asa_hierarchy(a, state.aggregates, psi_block, state.smoother)
+        h, vectors = _asa_hierarchy(a, [levels[0].coarsening], psi_block, state.smoother)
     except interpolation.InterpolationError as exc:
         return replace(state, delta_history=list(state.delta_history),
                        flags=state.flags + [f"vector rejected: {exc}"])
@@ -323,4 +310,4 @@ def asa_initial_state(a, partitions, psi0):
     psi0 = _columns(psi0)
     h, vectors = _asa_hierarchy(a, partitions, psi0, "gs")
     delta, _ = _cycle_delta(a, h, psi0, 4)
-    return AdaptiveState(h, vectors, list(partitions), delta, [delta])
+    return AdaptiveState(h, vectors, delta, [delta])

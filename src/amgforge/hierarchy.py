@@ -80,8 +80,8 @@ _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SetupConfig)}
 class Level:
     """One level of a hierarchy: its operator and, above the coarsest, the
     prolongation P to the next level, P's transpose stored once as a CSR
-    ``pt`` for restriction, the smoother pair, and the strength matrix and
-    splitting it coarsened with.
+    ``pt`` for restriction, the smoother pair, and the strength matrix (None
+    where nothing read one) and splitting it coarsened with.
 
     The post-smoother is always the adjoint of the pre-smoother, which keeps
     the V-cycle symmetric and so admissible as a PCG preconditioner.
@@ -90,10 +90,10 @@ class Level:
     a: sparse.SparseMatrix
     p: interpolation.Prolongation = None
     pre_smoother: object = None
+    strength: object = None
+    coarsening: object = None
     post_smoother: object = field(init=False)
     pt: sparse.SparseMatrix = field(init=False)
-    strength: object = field(default=None, kw_only=True)
-    coarsening: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
         pre = self.pre_smoother
@@ -174,6 +174,9 @@ def _aggressive(a, s, cfg):
 
 
 # Coarsenings by config name: (splitting kind, coarsen(a, strength, config)).
+# The names in _A_ONLY read A alone: setup builds no strength matrix when both
+# its coarsening and its builder are among them.
+_A_ONLY = {"pairwise", "ideal", "ua", "sa"}
 _COARSENINGS = {
     "mis": ("cf", lambda a, s, cfg: coarsening.mis(s)),
     "aggressive": ("cf", _aggressive),
@@ -182,50 +185,58 @@ _COARSENINGS = {
 }
 
 
-def _coarsen_once(a, cfg):
-    """One strength -> coarsen -> interpolate round; returns (P, S, splitting)."""
-    if cfg.coarsening not in _COARSENINGS:
-        raise SetupError(f"unknown coarsening {cfg.coarsening!r}")
-    if cfg.interpolation not in BUILDERS:
-        raise SetupError(f"unknown interpolation {cfg.interpolation!r}")
-    kind, coarsen = _COARSENINGS[cfg.coarsening]
-    needs, build = BUILDERS[cfg.interpolation]
-    if needs != kind:
-        wanted = "aggregation coarsening" if needs == "agg" else "a C/F coarsening"
-        raise SetupError(f"interpolation {cfg.interpolation!r} needs {wanted}")
-    s = strength.strength_matrix(a, cfg.strength_config())
-    split = coarsen(a, s, cfg)
-    if cfg.cr and kind == "cf":
-        factory = lambda sub: make_smoother(sub, cfg.smoother, cfg.omega)
-        split, _ = coarsening.cr_refine(a, factory, split, s, seed=cfg.seed)
-    return build(a, split, s, cfg), s, split
+def _build(a, step, max_levels):
+    """The Galerkin recursion A_{l+1} = P_l^T A_l P_l, the one loop that stacks
+    levels.  ``step(level, a)`` returns the level's (P, pre-smoother, S,
+    splitting), or None to make ``a`` the coarsest, as ``max_levels`` does."""
+    levels = []
+    while len(levels) < max_levels - 1 and (out := step(len(levels), a)) is not None:
+        levels.append(Level(a, *out))
+        a = sparse.galerkin_product(out[0].matrix, a)
+    levels.append(Level(a))
+    return Hierarchy(levels)
 
 
 def setup(a, config=None):
     """Build a hierarchy by repeating strength -> coarsen -> interpolate -> Galerkin.
 
-    Stops once the level size drops to ``n0`` or the level cap is reached;
-    aborts with diagnostics when coarsening stagnates (n_c >= 0.95 n).
-    Every intermediate object is retained on its Level for inspection.
+    The config's names are checked before the first level.  Coarsening stops
+    once the level size drops to ``n0`` or the level cap is reached, and
+    aborts with diagnostics when it stagnates (n_c >= 0.95 n).  Each Level
+    keeps its splitting, and its strength matrix where one was read (else None).
     """
     if config is None:
         config = SetupConfig()
     elif isinstance(config, dict):
         config = SetupConfig.from_mapping(config)
-    levels = []
-    current = a
-    while current.n_rows > config.n0 and len(levels) < config.max_levels - 1:
-        _refuse_coarse_line_gs(config.smoother, len(levels))
-        p, s, coarse_obj = _coarsen_once(current, config)
-        if p.n_coarse >= _STAGNATION * current.n_rows:
-            raise StagnationError(
-                f"coarsening stagnated at level {len(levels)}: "
-                f"{current.n_rows} -> {p.n_coarse} unknowns")
-        pre = make_smoother(current, config.smoother, config.omega, config.direction)
-        levels.append(Level(current, p, pre, strength=s, coarsening=coarse_obj))
-        current = sparse.galerkin_product(p.matrix, current)
-    levels.append(Level(current))
-    return Hierarchy(levels)
+    if config.coarsening not in _COARSENINGS:
+        raise SetupError(f"unknown coarsening {config.coarsening!r}")
+    if config.interpolation not in BUILDERS:
+        raise SetupError(f"unknown interpolation {config.interpolation!r}")
+    kind, coarsen = _COARSENINGS[config.coarsening]
+    needs, build = BUILDERS[config.interpolation]
+    if needs != kind:
+        wanted = "aggregation coarsening" if needs == "agg" else "a C/F coarsening"
+        raise SetupError(f"interpolation {config.interpolation!r} needs {wanted}")
+    strength_config = config.strength_config()
+    reads_s = not {config.coarsening, config.interpolation} <= _A_ONLY
+    factory = lambda sub: make_smoother(sub, config.smoother, config.omega)
+
+    def step(level, a):
+        if a.n_rows <= config.n0:
+            return None
+        _refuse_coarse_line_gs(config.smoother, level)
+        s = strength.strength_matrix(a, strength_config) if reads_s else None
+        split = coarsen(a, s, config)
+        if config.cr and kind == "cf":
+            split, _ = coarsening.cr_refine(a, factory, split, s, seed=config.seed)
+        p = build(a, split, s, config)
+        if p.n_coarse >= _STAGNATION * a.n_rows:
+            raise StagnationError(f"coarsening stagnated at level {level}: "
+                                  f"{a.n_rows} -> {p.n_coarse} unknowns")
+        return p, make_smoother(a, config.smoother, config.omega, config.direction), s, split
+
+    return _build(a, step, config.max_levels)
 
 
 def _vcycle(h, level, g, nu1, nu2):

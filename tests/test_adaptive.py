@@ -138,6 +138,13 @@ class TestBootstrap:
         assert h.level_sizes() == [10000]
         assert state.delta == 0.0
 
+    def test_level_cap(self, monkeypatch):
+        monkeypatch.setattr(hierarchy.SetupConfig, "max_levels", 2)
+        a, _ = problems.fe_jump_coefficient(62, 1e-6)
+        h, state = bootstrap_setup(a, seed=1)
+        assert h.n_levels == 2
+        assert [v.shape[0] for v in state.test_vectors] == h.level_sizes()
+
     def test_accepted_delta_monotone(self):
         a, _ = rescaled_laplacian(8, seed=5, spread=2.5)
         _, state = bootstrap_setup(a, m0=2, q=2, n0=20, delta0=1e-6,
@@ -248,6 +255,15 @@ class TestAsaAddVector:
         _, state = bootstrap_setup(a, m0=2, q=2, n0=10, seed=0)
         with pytest.raises(ValueError, match="asa"):
             asa_add_vector(state, np.ones(a.n_rows))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_level_per_partition(self, k):
+        parts = [self.part, AggregatePartition(np.repeat(np.arange(2), 2), 2)][:k]
+        state = asa_initial_state(self.a, parts, self.z[:, :1])
+        h = state.hierarchy
+        assert h.n_levels == k + 1 == len(state.test_vectors)
+        assert all(lvl.coarsening is part for lvl, part in zip(h.levels, parts))
+        assert h.levels[-1].coarsening is None
 
     def test_two_partition_state_refused(self):
         coarse = AggregatePartition(np.repeat(np.arange(2), 2), 2)

@@ -58,5 +58,7 @@ def test_traced_tiny_pass(name, tmp_path):
             assert metrics[key] > 0, key
     if name == "poisson_classical":
         assert metrics["io_mm.read_s"] > 0
+    if name == "jump_multirhs":  # pairwise + ua reads no strength matrix
+        assert metrics["strength.busy_s"] == 0
     if name == "aniso_oracle":  # perfbench/tests pins this class name too
         assert metrics["smoothers.action_calls.BlockGaussSeidel"] > 0

@@ -404,3 +404,25 @@ def test_setup_mismatched_builder_rejected():
         setup(a, {"coarsening": "aggregate", "interpolation": "direct", "n0": 20})
     with pytest.raises(SetupError, match="unknown interpolation"):
         setup(a, {"interpolation": "bogus", "n0": 20})
+
+
+@pytest.mark.parametrize("config, error, match", [
+    ({"coarsening": "bogus"}, SetupError, "unknown coarsening 'bogus'"),
+    ({"interpolation": "bogus"}, SetupError, "unknown interpolation 'bogus'"),
+    ({"coarsening": "pairwise", "interpolation": "direct"}, SetupError,
+     "'direct' needs a C/F coarsening"),
+    ({"strength": "bogus"}, ValueError, "unknown strength variant 'bogus'"),
+])
+def test_config_checked_below_n0(config, error, match):
+    # fd5 5 has 25 <= n0 unknowns, so no level is ever coarsened
+    with pytest.raises(error, match=match):
+        setup(problems.fd_poisson_5pt(5), config)
+
+
+@pytest.mark.parametrize("interp", ["ua", "sa"])
+def test_strength_built_only_where_read(interp, monkeypatch):
+    # pairwise matching and the ua/sa builders read A alone
+    monkeypatch.setattr(strength, "strength_matrix", lambda *args: pytest.fail("S built"))
+    h = setup(problems.fd_poisson_5pt(20), {"coarsening": "pairwise", "interpolation": interp})
+    assert h.n_levels >= 3
+    assert all(lvl.strength is None and lvl.coarsening is not None for lvl in h.levels[:-1])
