@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # perfbench/tracer.py patches SymPseudoInverse in this module by name, so it stays bound.
-from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _stack_by_size  # noqa: F401
+from .linalg import SymPseudoInverse, _columns, _refuse_beyond_cap, _stack_by_size  # noqa: F401
 from .smoothers import make_smoother
 
 
@@ -217,9 +217,7 @@ def mge_eigensolve(h, l_e, relax_sweeps=2):
     ``DENSE_CAP`` unknowns is refused before any dense work."""
     if h.n_levels < 1:
         raise ValueError("empty hierarchy")
-    if h.levels[-1].a.n_rows > DENSE_CAP:
-        raise ValueError(f"coarsest level has {h.levels[-1].a.n_rows} unknowns, beyond "
-                         f"DENSE_CAP = {DENSE_CAP} of the dense coarsest eigensolve")
+    _refuse_beyond_cap(h.levels[-1].a.n_rows, "mge_eigensolve's coarsest pencil")
     mass = [sp.identity(h.levels[0].a.n_rows, format="csr")]
     comp = None
     for lvl in h.levels[:-1]:

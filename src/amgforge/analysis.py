@@ -8,13 +8,13 @@ smoother/prolongation pair produced by the rest of the package.
 Within ``DENSE_CAP`` unknowns the error norm is exact: the top eigenvalue of
 the pencil (E'AE, A) of the materialized propagator.  The Rbar-norm oracles
 share one dense frame: A, Rbar^{-1} (from a single eigendecomposition of
-Rbar) and the kernel complement.  A smoother's frame, and the spectrum mu of
-Rbar A on it, are built once and held, read-only, for as long as the smoother
-lives, so every report on one smoother shares them; only the P-dependent
-parts, the error norm and K(V_c), are computed per report.  The optimal
-coarse space is the low end of the pencil (A, Rbar^{-1}), and K(V_c) the top
-of the pencil (Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may
-be a ``Prolongation``, a ``SparseMatrix`` or an array.
+Rbar) and the spectrum mu of Rbar A.  A smoother's frame is built once and
+held, read-only, for as long as the smoother lives, so every report on one
+smoother shares it; the P- and kernel-dependent parts, the error norm and
+K(V_c), are computed per report.  The optimal coarse space is the low end of
+the pencil (A, Rbar^{-1}), and K(V_c) the top of the pencil
+(Rbar^{-1} - X (P'X)^{-1} X', A) with X = Rbar^{-1} P.  P may be a
+``Prolongation``, a ``SparseMatrix`` or an array.
 Beyond the cap only the error norm is available, by subspace iteration.
 Its solves with A, and every solve with a coarse matrix P'AP, follow the
 one coarse-solve rule, ``linalg.SymPseudoInverse``, keyed on the order of
@@ -24,13 +24,13 @@ the matrix solved.
 import functools
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import DENSE_CAP, SymPseudoInverse, _columns
+from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _refuse_beyond_cap
 from .smoothers import Smoother, SymmetrizedSmoother, symmetrize
 from .sparse import SparseMatrix
 
@@ -87,8 +87,6 @@ class _Frame:
 
     a: np.ndarray  # dense A, read-only
     rinv: np.ndarray  # Rbar^{-1}, read-only
-    kernel: np.ndarray = None  # kernel columns of A, if singular
-    complement: np.ndarray = None  # orthonormal basis of the kernel complement
     mu: np.ndarray = None  # spectrum of Rbar A, once _mu has computed it
 
 
@@ -98,34 +96,23 @@ class _Frame:
 _FRAMES = weakref.WeakKeyDictionary()
 
 
-def _frame(a, rbar, kernel=None):
-    """One dense frame of (A, Rbar): Rbar as a smoother, a dense n x n array
-    or an existing frame, which keeps its kernel unless another is given.
-
-    A smoother over this very A gets its cached frame; a kernel is added to
-    a copy, so the cached frame never carries one."""
-    kernel = _columns(kernel)
-    if isinstance(rbar, _Frame):
-        frame = rbar
-    elif isinstance(rbar, Smoother) and a is rbar.a:
-        symmetrized = isinstance(rbar, SymmetrizedSmoother)
-        slots = _FRAMES.setdefault(rbar.inner if symmetrized else rbar, {})
-        if symmetrized not in slots:
-            slots[symmetrized] = _build_frame(a, rbar)
-        frame = slots[symmetrized]
-    else:
-        frame = _build_frame(a, rbar)
-    if kernel is None:
-        return frame
-    return replace(frame, kernel=kernel, complement=_complement(kernel))
+def _frame(a, rbar):
+    """The dense frame of (A, Rbar), Rbar a smoother or a dense n x n array;
+    a smoother over this very A gets its cached frame."""
+    if not (isinstance(rbar, Smoother) and a is rbar.a):
+        return _build_frame(a, rbar)
+    symmetrized = isinstance(rbar, SymmetrizedSmoother)
+    slots = _FRAMES.setdefault(rbar.inner if symmetrized else rbar, {})
+    if symmetrized not in slots:
+        slots[symmetrized] = _build_frame(a, rbar)
+    return slots[symmetrized]
 
 
 def _build_frame(a, rbar):
     """Dense A and Rbar^{-1} from one eigendecomposition of Rbar (a smoother
     or a dense array), both read-only; Rbar must be SPD."""
     n = a.n_rows
-    if n > DENSE_CAP:
-        raise ValueError("Rbar frame is a dense oracle; n exceeds the cap")
+    _refuse_beyond_cap(n, "the Rbar frame")
     if isinstance(rbar, Smoother):
         rbar = materialize(rbar.action, n)
     rbar = np.asarray(rbar, dtype=float)
@@ -267,19 +254,19 @@ def k_of_vc(a, rbar, p, kernel=None):
     (I-Q_c)' Rbar^{-1} (I-Q_c) v = lambda A v, with Q_c the
     Rbar^{-1}-orthogonal projection onto range(P).  That matrix is the Schur
     form Rbar^{-1} - X (P'X)^{-1} X' with X = Rbar^{-1} P, so no n x n
-    projector is formed.  ``rbar`` is a smoother, a dense array or a frame;
-    a frame built with a kernel brings it along.
+    projector is formed.  ``rbar`` is a smoother or a dense array.
     """
-    f = _frame(a, rbar, kernel)
+    f = _frame(a, rbar)
+    kernel = _columns(kernel)
     pm = _p_matrix(p).toarray()
-    if f.kernel is not None:
-        coef, *_ = np.linalg.lstsq(pm, f.kernel, rcond=None)
-        defect = np.linalg.norm(pm @ coef - f.kernel)
-        if defect > 1e-8 * max(1.0, np.linalg.norm(f.kernel)):
+    if kernel is not None:
+        coef, *_ = np.linalg.lstsq(pm, kernel, rcond=None)
+        defect = np.linalg.norm(pm @ coef - kernel)
+        if defect > 1e-8 * max(1.0, np.linalg.norm(kernel)):
             raise ValueError("kernel of A is not contained in range(P)")
     x = f.rinv @ pm
     m = f.rinv - x @ np.linalg.solve(pm.T @ x, x.T)
-    u = f.complement
+    u = _complement(kernel)
     # K >= 1 whenever range(P) is a proper subspace; the degenerate
     # full-space case (Q_c = identity) has rate 0, i.e. K = 1
     return max(_top_eigenvalue(_restrict(m, u), _restrict(f.a, u)), 1.0)
@@ -291,7 +278,7 @@ def optimal_coarse_space(a, rbar, n_c):
     Returns (P_opt, mu) from the pencil A z = mu Rbar^{-1} z: columns are
     Rbar^{-1}-orthonormal eigenvectors for the n_c smallest eigenvalues; the
     exact two-level rate with this space is 1 - mu_{n_c+1}.  ``rbar`` is a
-    smoother, a dense array or a frame.
+    smoother or a dense array.
     """
     f = _frame(a, rbar)
     mu, z = scipy.linalg.eigh(f.a, f.rinv)
@@ -354,8 +341,7 @@ def classify_frequencies(a, rbar, v, eps, delta):
 def weyl_ratio(a, d):
     """(min, max) over k of lambda_k * (N/k)^(2/d) for the dense spectrum."""
     n = a.n_rows
-    if n > DENSE_CAP:
-        raise ValueError("Weyl ratio is a dense oracle; n exceeds the cap")
+    _refuse_beyond_cap(n, "weyl_ratio")
     lam = scipy.linalg.eigh(a.toarray(), eigvals_only=True)
     k = np.arange(1, n + 1)
     ratios = lam * (n / k) ** (2.0 / d)
@@ -396,9 +382,12 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
     long as the smoother lives, so a gallery of coarse spaces under one
     smoother pays for them once; ``mu_spectrum`` is then shared, read-only.
     """
-    frame = _frame(a, symmetrize(smoother))
+    rbar = symmetrize(smoother)
+    # the frame is built before error_norm's arrays, and k_of_vc finds it
+    # cached when A is the smoother's own
+    frame = _frame(a, rbar)
     e_sq = two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
-    k = k_of_vc(a, frame, p, kernel)
+    k = k_of_vc(a, rbar, p, kernel)
     builder = getattr(p, "builder", "custom")
     n_c = _p_matrix(p).shape[1]
     mu = _mu(frame) if include_mu else None
@@ -408,9 +397,7 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
 def additive_condition(a, p, kernel=None):
     """Condition number of the additive two-level preconditioned operator
     (coarse solve plus pointwise diagonal), measured on the kernel complement."""
-    n = a.n_rows
-    if n > DENSE_CAP:
-        raise ValueError("dense oracle; n exceeds the cap")
+    _refuse_beyond_cap(a.n_rows, "additive_condition")
     a_dense = a.toarray()
     pm = _p_matrix(p).toarray()
     coarse = SymPseudoInverse(pm.T @ a_dense @ pm)

@@ -13,9 +13,10 @@ import sys
 
 import numpy as np
 
-from . import (adaptive, analysis, hierarchy, interpolation, io_mm, problems,
-               smoothers, sparse)
+from . import (adaptive, analysis, coarsening, hierarchy, interpolation, io_mm,
+               problems, smoothers, sparse, strength)
 from .hierarchy import SetupConfig, _CONFIG_DEFAULTS
+from .linalg import _refuse_beyond_cap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,7 +35,6 @@ _RUN_DEFAULTS = {
     "q": 4,
     "delta0": 0.7,
     "rounds": 3,
-    "n_c": 0,
     "problem_seed": 0,
 }
 
@@ -184,12 +184,8 @@ _BUILDERS = ("ideal", "direct", "standard", "ua", "sa", "energymin")
 def _analyze_rows(cfg, gallery):
     """Two-level reports of every builder when ``gallery``, else of the
     configured interpolation alone."""
-    from . import coarsening, strength
-
-    spec = _problem_from(cfg)
-    a = problems.build(spec)
-    if a.n_rows > analysis.DENSE_CAP:
-        raise UsageError(f"analysis cap exceeded: n={a.n_rows} > {analysis.DENSE_CAP}")
+    a = problems.build(_problem_from(cfg))
+    _refuse_beyond_cap(a.n_rows, "amgforge analyze")
     kernel = _detect_kernel(a)
     smoother = smoothers.make_smoother(a, cfg["smoother"], cfg["omega"], cfg["direction"])
     setup_cfg = setup_config_from(cfg)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse
+from .interpolation import ua_prolongation
 from .strength import StrengthMatrix, _pairwise_values, strength_power, union
 
 
@@ -175,8 +176,6 @@ def pairwise_aggregate(a, passes=1):
     part = _single_pass_matching(a)
     if passes == 1:
         return part
-    from .interpolation import ua_prolongation
-
     p = ua_prolongation(part).matrix
     coarse = sparse.galerkin_product(p, a)
     sub = pairwise_aggregate(coarse, passes - 1)
@@ -201,13 +200,12 @@ class CRReport:
     added: int = 0
 
 
-def _f_contraction(a_ff, smoother_factory, seed, steps=10):
+def _f_contraction(a_ff, smoother, seed, steps=10):
     """A-norm contraction of the fine-restricted smoother error propagator.
 
     Ten power-iteration steps on E_f = I - B_f A_ff; the reported value is
     the A-norm ratio of the last iterate pair.
     """
-    smoother = smoother_factory(a_ff)
     mat = a_ff.mat
     rng = np.random.default_rng(seed)
     rho = 0.0
@@ -244,12 +242,12 @@ def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, max_rounds=5, see
             report.rho_history.append(0.0)
             break
         a_ff = sparse.restrict_to_indices(a, fine)
-        rho = _f_contraction(a_ff, smoother_factory, seed + round_no)
+        smoother = smoother_factory(a_ff)
+        rho = _f_contraction(a_ff, smoother, seed + round_no)
         report.rho_history.append(float(rho))
         if rho <= delta_f or round_no == max_rounds:
             report.converged = rho <= delta_f
             break
-        smoother = smoother_factory(a_ff)
         v = smoother.apply(np.zeros(fine.size), rng.uniform(-1.0, 1.0, fine.size), sweeps=4)
         candidates = fine[np.abs(v) > 0.5 * np.abs(v).max()]
         if candidates.size == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import coarsening, interpolation, sparse, strength
 from .linalg import SymPseudoInverse, _columns
-from .smoothers import make_smoother
+from .smoothers import _check_direction, make_smoother
 
 
 class SetupError(RuntimeError):
@@ -168,20 +168,26 @@ BUILDERS = {
         a, interpolation.supports_from_aggregates(part, s), cg_tol=cfg.emin_tol)),
 }
 
-def _aggressive(a, s, cfg):
-    m, l = (int(t) for t in cfg.ml.split(","))
-    return coarsening.aggressive_coarsen(s, m, l)
+def _aggressive(cfg):
+    """Aggressive coarsening with the (m, l) of the ``ml`` key, parsed once."""
+    try:
+        m, l = (int(t) for t in cfg.ml.split(","))
+    except ValueError:
+        m = l = 0
+    if min(m, l) < 1:
+        raise SetupError(f"ml expects two positive integers 'm,l', got {cfg.ml!r}")
+    return lambda a, s: coarsening.aggressive_coarsen(s, m, l)
 
 
-# Coarsenings by config name: (splitting kind, coarsen(a, strength, config)).
-# The names in _A_ONLY read A alone: setup builds no strength matrix when both
-# its coarsening and its builder are among them.
+# Coarsenings by config name: (splitting kind, config -> coarsen(a, strength)),
+# resolved once before the first level.  The names in _A_ONLY read A alone: setup
+# builds no strength matrix when both its coarsening and its builder are among them.
 _A_ONLY = {"pairwise", "ideal", "ua", "sa"}
 _COARSENINGS = {
-    "mis": ("cf", lambda a, s, cfg: coarsening.mis(s)),
+    "mis": ("cf", lambda cfg: lambda a, s: coarsening.mis(s)),
     "aggressive": ("cf", _aggressive),
-    "aggregate": ("agg", lambda a, s, cfg: coarsening.greedy_aggregate(s)),
-    "pairwise": ("agg", lambda a, s, cfg: coarsening.pairwise_aggregate(a)),
+    "aggregate": ("agg", lambda cfg: lambda a, s: coarsening.greedy_aggregate(s)),
+    "pairwise": ("agg", lambda cfg: lambda a, s: coarsening.pairwise_aggregate(a)),
 }
 
 
@@ -200,10 +206,11 @@ def _build(a, step, max_levels):
 def setup(a, config=None):
     """Build a hierarchy by repeating strength -> coarsen -> interpolate -> Galerkin.
 
-    The config's names are checked before the first level.  Coarsening stops
-    once the level size drops to ``n0`` or the level cap is reached, and
-    aborts with diagnostics when it stagnates (n_c >= 0.95 n).  Each Level
-    keeps its splitting, and its strength matrix where one was read (else None).
+    The config's names, and the ``ml`` and line-GS ``direction`` values they
+    read, are checked before the first level.  Coarsening stops once the
+    level size drops to ``n0`` or the level cap is reached, and aborts with
+    diagnostics when it stagnates (n_c >= 0.95 n).  Each Level keeps its
+    splitting, and its strength matrix where one was read (else None).
     """
     if config is None:
         config = SetupConfig()
@@ -213,11 +220,14 @@ def setup(a, config=None):
         raise SetupError(f"unknown coarsening {config.coarsening!r}")
     if config.interpolation not in BUILDERS:
         raise SetupError(f"unknown interpolation {config.interpolation!r}")
-    kind, coarsen = _COARSENINGS[config.coarsening]
+    kind, resolve = _COARSENINGS[config.coarsening]
     needs, build = BUILDERS[config.interpolation]
     if needs != kind:
         wanted = "aggregation coarsening" if needs == "agg" else "a C/F coarsening"
         raise SetupError(f"interpolation {config.interpolation!r} needs {wanted}")
+    coarsen = resolve(config)
+    if config.smoother == "line-gs":
+        _check_direction(config.direction)
     strength_config = config.strength_config()
     reads_s = not {config.coarsening, config.interpolation} <= _A_ONLY
     factory = lambda sub: make_smoother(sub, config.smoother, config.omega)
@@ -227,7 +237,7 @@ def setup(a, config=None):
             return None
         _refuse_coarse_line_gs(config.smoother, level)
         s = strength.strength_matrix(a, strength_config) if reads_s else None
-        split = coarsen(a, s, config)
+        split = coarsen(a, s)
         if config.cr and kind == "cf":
             split, _ = coarsening.cr_refine(a, factory, split, s, seed=config.seed)
         p = build(a, split, s, config)

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, _columns, _stack_by_size
+from .linalg import DENSE_CAP, _columns, _refuse_beyond_cap, _stack_by_size
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
@@ -74,8 +74,7 @@ def ideal_interpolation(a, split):
     A desk-scale oracle: the F-block is solved densely, so inputs with more
     than ``DENSE_CAP`` fine points are rejected before any dense work.
     """
-    if split.fine_indices.size > DENSE_CAP:
-        raise ValueError(f"ideal interpolation capped at {DENSE_CAP} fine points")
+    _refuse_beyond_cap(split.fine_indices.size, "ideal interpolation's A_FF")
     a_ff, a_fc = (block.toarray() for block in _fine_blocks(a.mat, split))
     try:
         w = -scipy.linalg.solve(a_ff, a_fc, assume_a="sym")
@@ -244,8 +243,8 @@ class SupportSet:
     supports: tuple
 
     def validate(self, n):
-        """Refuse supports that leave a vertex uncovered (the lowest is named)
-        or that have no private vertex (the lowest such support is named).
+        """Refuse supports that leave a vertex uncovered or have no private
+        vertex, naming the lowest, with an InterpolationError: no coarse space.
 
         One pass over the concatenated supports: O(n + total support size).
         """
@@ -263,12 +262,13 @@ class SupportSet:
         counts = np.bincount(incidence.indices, minlength=n)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
-            raise ValueError(f"supports do not cover vertex {missing}")
+            raise InterpolationError(f"supports do not cover vertex {missing}")
         # private vertices per support by prefix sums: reduceat misreads empty segments
         private = np.concatenate([[0], np.cumsum(counts[incidence.indices] == 1)])
         shared = np.flatnonzero(private[incidence.indptr[1:]] == private[incidence.indptr[:-1]])
         if shared.size:
-            raise ValueError(f"support {int(shared[0])} is contained in the union of the others")
+            raise InterpolationError(
+                f"support {int(shared[0])} is contained in the union of the others")
 
 
 def supports_from_aggregates(partition, s):

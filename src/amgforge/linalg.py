@@ -1,5 +1,5 @@
-"""Shared linear algebra: the dense cap, the one coarse-solve rule (a
-symmetric pseudo-inverse within the cap, a nonsingular sparse LU beyond it),
+"""Shared linear algebra: the dense cap and its one refusal, the one coarse-solve
+rule (a pseudo-inverse within the cap, a nonsingular sparse LU beyond it),
 vectors as block columns and the size grouping of stacked local solves."""
 
 import numpy as np
@@ -15,6 +15,14 @@ DENSE_CAP = 2000
 # marks a singular matrix, whose smallest pivot reads near 0.15 n eps.
 _SINGULAR_PIVOT = 100 * np.finfo(float).eps
 _STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
+
+
+def _refuse_beyond_cap(n, what):
+    """The dense layer's one refusal, made before any dense work: ``what``
+    would form a dense order-``n`` array, and n exceeds ``DENSE_CAP``."""
+    if n > DENSE_CAP:
+        raise ValueError(f"{what} forms a dense order-{n} array, "
+                         f"beyond the dense cap DENSE_CAP = {DENSE_CAP}")
 
 
 class SymPseudoInverse:

@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, _stack_by_size
+from .linalg import _refuse_beyond_cap, _stack_by_size
 from .sparse import _masked_indptr
 
 
@@ -275,20 +275,23 @@ def convergence_bound(smoother):
     if isinstance(smoother, GaussSeidel):
         return ConvergenceBound(0.0 < smoother.omega < 2.0, 2.0)
     # generic smoothers: convergent iff the symmetrized iterator is SPD
-    if smoother.n > DENSE_CAP:
-        raise ValueError(f"convergence_bound of a {type(smoother).__name__} forms a dense "
-                         f"order-{smoother.n} Rbar, beyond DENSE_CAP = {DENSE_CAP}")
-    from .analysis import materialize
+    _refuse_beyond_cap(smoother.n, f"convergence_bound of a {type(smoother).__name__}")
+    from .analysis import materialize  # analysis imports this module
 
     rbar = materialize(SymmetrizedSmoother(smoother).action, smoother.n)
     lam_min = scipy.linalg.eigh(0.5 * (rbar + rbar.T), eigvals_only=True)[0]
     return ConvergenceBound(bool(lam_min > 0.0), float("nan"))
 
 
-def block_partition_lines(n, direction="x"):
-    """Grid-line blocks of the lexicographic n x n grid, for line smoothing."""
+def _check_direction(direction):
+    """Grid lines run along "x" or "y"."""
     if direction not in ("x", "y"):
         raise ValueError("direction must be 'x' or 'y'")
+
+
+def block_partition_lines(n, direction="x"):
+    """Grid-line blocks of the lexicographic n x n grid, for line smoothing."""
+    _check_direction(direction)
     idx = np.arange(n * n).reshape(n, n)  # row j holds line y = j
     if direction == "x":
         return [idx[j, :].copy() for j in range(n)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import Graph, _index_dtype, _masked_indptr, graph_from_scipy
+from .sparse import Graph, _index_dtype, _masked_indptr, adjacency_graph, graph_from_scipy
 from .smoothers import GaussSeidel
 
 VARIANTS = ("classical_sym", "avg_sym", "cauchy_s1", "cauchy_s2",
@@ -166,8 +166,6 @@ def strength_matrix(a, cfg=StrengthConfig()):
 
 def full_strength(a):
     """Strength matrix equal to the full adjacency graph (theta -> 0 limit)."""
-    from .sparse import adjacency_graph
-
     return StrengthMatrix(adjacency_graph(a), 0.0, "adjacency", {})
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -534,7 +535,8 @@ class TestFrameCache:
                                 include_mu=True)
         assert (got.e_norm_sq, got.k_vc) == (want.e_norm_sq, want.k_vc)
         assert got.mu_spectrum.tobytes() == want.mu_spectrum.tobytes()
-        assert analysis._frame(j, symmetrize(gs)).kernel is None
+        frame = analysis._frame(j, symmetrize(gs))
+        assert tuple(f.name for f in dataclasses.fields(frame)) == ("a", "rinv", "mu")
         # the report's kernel did not stay behind
         with pytest.raises(ValueError, match="singular.*kernel"):
             k_of_vc(j, symmetrize(gs), ua)

@@ -32,6 +32,12 @@ class TestConfig:
         with pytest.raises(cli.UsageError):
             load_config(None, ["n=many"])
 
+    def test_n_c_is_not_a_key(self, tmp_path, capsys):
+        out = tmp_path / "a.mtx"
+        io_mm.write_matrix_market(out, problems.fd_poisson_5pt(4))
+        assert main(["solve", "--matrix", str(out), "--set", "n_c=7"]) == EXIT_USAGE
+        assert "unknown config key 'n_c'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_fd5_n2_file_and_sidecar(self, tmp_path, capsys):
@@ -128,6 +134,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == EXIT_NONCONVERGENCE
         assert "fine row" in err and "coarsening" in err and "theta" in err
+
+    def test_supports_without_private_vertex_are_setup_error(self, tmp_path, capsys):
+        # pairwise aggregates of two extended by their strong neighbors leave
+        # some support inside the union of the others
+        out = tmp_path / "fd5.mtx"
+        io_mm.write_matrix_market(out, problems.fd_poisson_5pt(8))
+        code = main(["solve", "--matrix", str(out), "--set", "coarsening=pairwise",
+                     "--set", "interpolation=energymin"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONVERGENCE
+        assert "contained in the union of the others" in err and "coarsening" in err
 
     def test_line_gs_multilevel_is_setup_error(self, tmp_path, capsys):
         out = tmp_path / "aniso.mtx"

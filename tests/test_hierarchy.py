@@ -412,11 +412,24 @@ def test_setup_mismatched_builder_rejected():
     ({"coarsening": "pairwise", "interpolation": "direct"}, SetupError,
      "'direct' needs a C/F coarsening"),
     ({"strength": "bogus"}, ValueError, "unknown strength variant 'bogus'"),
+    ({"coarsening": "aggressive", "ml": "bogus"}, SetupError,
+     "ml expects two positive integers 'm,l', got 'bogus'"),
+    ({"coarsening": "aggressive", "ml": "1,2,3"}, SetupError, "ml expects"),
+    ({"coarsening": "aggressive", "ml": "0,2"}, SetupError, "ml expects"),
+    ({"smoother": "line-gs", "direction": "z"}, ValueError, "direction must be 'x' or 'y'"),
 ])
 def test_config_checked_below_n0(config, error, match):
     # fd5 5 has 25 <= n0 unknowns, so no level is ever coarsened
     with pytest.raises(error, match=match):
         setup(problems.fd_poisson_5pt(5), config)
+
+
+def test_ml_and_direction_checked_only_where_read():
+    # a bad ml above n0 names its key, where int() raised on the first level
+    with pytest.raises(SetupError, match="ml expects"):
+        setup(problems.fd_poisson_5pt(20), {"coarsening": "aggressive", "ml": "bogus"})
+    # no other coarsening reads ml, and no other smoother reads direction
+    assert setup(problems.fd_poisson_5pt(20), {"ml": "bogus", "direction": "z"}).n_levels > 1
 
 
 @pytest.mark.parametrize("interp", ["ua", "sa"])
