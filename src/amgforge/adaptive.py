@@ -1,7 +1,8 @@
 """Bootstrap and adaptive setup: discovering the near-null space on the fly.
 
 The entry point is ``bootstrap_setup``: relax random test vectors, coarsen,
-fit a prolongation to the relaxed vectors by least-squares row fitting,
+fit a prolongation to the relaxed vectors by least-squares row fitting (a
+vectorized QR per pattern width, an SVD only near rank deficiency),
 recurse, then self-assess the resulting V-cycle and enrich the test vectors
 with multigrid eigensolver output until the measured contraction passes the
 target.  Rounds that fail to improve are flagged and never replace the
@@ -13,6 +14,7 @@ vectors restricted to each aggregate, and ``asa_add_vector`` widens a
 one-partition state by one more test vector.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -22,8 +24,11 @@ import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # perfbench/tracer.py patches SymPseudoInverse in this module by name, so it stays bound.
-from .linalg import SymPseudoInverse, _columns, _refuse_beyond_cap, _stack_by_size  # noqa: F401
+from .linalg import SymPseudoInverse, _columns, _refuse_beyond_cap  # noqa: F401
 from .smoothers import make_smoother
+
+_FIT_ROWS = 1024  # rows per least-squares fit block, which bounds the fit's work arrays
+_COND_HANDOFF = 1e8  # a QR fit whose ||R||_F ||R^-1||_F reaches this is refitted by SVD
 
 
 @dataclass
@@ -38,6 +43,103 @@ class AdaptiveState:
     q: int = 4
 
 
+def _flat_rows(rows, n, n_c, what):
+    """Per-row coarse index lists as (lengths, flat indices), refusing by name
+    a row count other than ``n`` or an index outside [0, n_c)."""
+    if len(rows) != n:
+        raise ValueError(f"{what} has {len(rows)} rows, not one per fine row ({n}): "
+                         f"row {min(len(rows), n)} is {'extra' if len(rows) > n else 'missing'}")
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=lens.sum())
+    bad = np.flatnonzero((flat < 0) | (flat >= n_c))
+    if bad.size:
+        row = np.searchsorted(np.cumsum(lens), bad[0], side="right")
+        raise ValueError(f"{what} row {row} holds coarse index {flat[bad[0]]}, "
+                         f"outside [0, {n_c})")
+    return lens, flat
+
+
+def _fit_sequences(pattern, candidate_order, n, n_c, s_max):
+    """Each row's allowed sequence, its pattern then its candidates not in the
+    pattern, as an (n, width) array padded with 0; and each row's start and
+    final widths, len(pattern[i]) and max(that, min(s_max, len(sequence)))."""
+    p_len, p_flat = _flat_rows(pattern, n, n_c, "pattern")
+    order = [()] * n if candidate_order is None else candidate_order
+    o_len, o_flat = _flat_rows(order, n, n_c, "candidate_order")
+    p_row, o_row = np.repeat(np.arange(n), p_len), np.repeat(np.arange(n), o_len)
+    # (row, index) keys of the pattern, sorted, ending in a key above them all
+    taken, key = np.append(np.sort(p_row * n_c + p_flat), n * n_c), o_row * n_c + o_flat
+    new = taken[np.searchsorted(taken, key)] != key
+    c_row, c_flat = o_row[new], o_flat[new]
+    c_len = np.bincount(c_row, minlength=n)
+    width = np.maximum(p_len, np.minimum(s_max, p_len + c_len))
+    seq = np.zeros((n, width.max(initial=0)), dtype=np.int64)
+    seq[p_row, _within_row(p_len)] = p_flat
+    c_pos = p_len[c_row] + _within_row(c_len)
+    keep = c_pos < width[c_row]
+    seq[c_row[keep], c_pos[keep]] = c_flat[keep]
+    return seq, p_len, width
+
+
+def _within_row(lens):
+    """Each flat entry's position within its row, for rows of ``lens`` entries."""
+    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
+def _svd_fit(cols, rhs):
+    """Minimal-norm fits over a (g, k, m) stack of basis columns by one stacked
+    SVD with lstsq's rank cutoff; returns the (g, k) coefficients and the
+    rank-deficient count."""
+    basis = cols.transpose(0, 2, 1)  # g x m x k
+    u, s, vt = np.linalg.svd(basis, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(basis.shape[1:]) * s[:, :1]
+    coef = np.where(keep, np.einsum("gmr,gm->gr", u, rhs) / np.where(keep, s, 1.0), 0.0)
+    return np.einsum("grk,gr->gk", vt, coef), int((keep.sum(axis=1) < basis.shape[2]).sum())
+
+
+def _qr_fit(cols, rhs):
+    """Least-squares fits over a (g, k, m) stack of basis columns, k <= m, by
+    CGS2 QR and back substitution; returns the (g, k) coefficients and a mask
+    of the rows whose R has a zero diagonal or ||R||_F ||R^-1||_F >= _COND_HANDOFF."""
+    g, k, _ = cols.shape
+    q, r = np.empty_like(cols), np.zeros((g, k, k))
+    for j in range(k):
+        v = cols[:, j].copy()
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = np.einsum("gim,gm->gi", q[:, :j], v)
+            v -= np.einsum("gim,gi->gm", q[:, :j], c)
+            r[:, :j, j] += c
+        r[:, j, j] = np.sqrt(np.einsum("gm,gm->g", v, v))
+        q[:, j] = v / np.where(r[:, j, j] > 0.0, r[:, j, j], 1.0)[:, None]
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    pivot = np.where(diag > 0.0, diag, 1.0)
+    # solve R [p | X] = [Q^T psi | I]: X = R^-1 gives the condition bound
+    sol = np.zeros((g, k, k + 1))
+    sol[:, :, 0] = np.einsum("gkm,gm->gk", q, rhs)
+    sol[:, range(k), range(1, k + 1)] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k - 1, -1, -1):
+            sol[:, j] -= np.einsum("gl,glc->gc", r[:, j, j + 1:], sol[:, j + 1:])
+            sol[:, j] /= pivot[:, j, None]
+        inv = sol[:, :, 1:]
+        bound = np.sqrt(np.einsum("gij,gij->g", r, r) * np.einsum("gij,gij->g", inv, inv))
+    return sol[:, :, 0], (diag == 0.0).any(axis=1) | ~(bound < _COND_HANDOFF)
+
+
+def _fit(cols, rhs):
+    """Row fits over a (g, k, m) stack of basis columns: the QR fit, and the
+    stacked SVD where k = 0, k > m or R is near rank deficiency; returns the
+    (g, k) coefficients and the rank-deficient count."""
+    _, k, m = cols.shape
+    if k == 0 or k > m:
+        return _svd_fit(cols, rhs)
+    p, hard = _qr_fit(cols, rhs)
+    if not hard.any():
+        return p, 0
+    p[hard], deficient = _svd_fit(cols[hard], rhs[hard])
+    return p, deficient
+
+
 def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
                         candidate_order=None):
     """Row-by-row least-squares fit of P to the test vectors.
@@ -47,41 +149,45 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     indices; while the residual exceeds ``eps_fit`` and the row holds fewer
     than ``s_max`` entries, the pattern grows along ``candidate_order``
     (nearest coarse dofs first).  Exact zeros are dropped at the end.
-    Rank-deficient local problems fall back to the minimal-norm solution and
-    are flagged with a warning.  The rows of one pattern size are fitted
-    together, by one stacked SVD with ``lstsq``'s default rank cutoff.
+
+    The rows of one pattern width are fitted together, ``_FIT_ROWS`` at a
+    time, by one vectorized CGS2 QR.  A row goes to a stacked SVD with
+    ``lstsq``'s default rank cutoff instead when its width is 0 or exceeds
+    the number of test vectors, or its R has a zero diagonal entry or
+    ||R||_F ||R^-1||_F >= 1e8.  Below that bound sigma_min / sigma_max >
+    1e-8, far above the cutoff, so no QR row is one ``lstsq`` would call
+    rank deficient.  Rank-deficient fits fall back to the minimal-norm
+    solution and are flagged with a warning.  A ``pattern`` or
+    ``candidate_order`` without one row per fine row, or with an index
+    outside [0, n_c), is refused by a ``ValueError`` that names the first
+    bad row.
     """
     psi_fine, psi_coarse = _columns(psi_fine), _columns(psi_coarse)
     if psi_fine.shape[1] != psi_coarse.shape[1]:
         raise ValueError("fine and coarse test-vector counts differ")
-    n = psi_fine.shape[0]
-    # row i's allowed indices are the first width[i] of seqs[i]
-    seqs = [list(pattern[i]) + [c for c in (candidate_order[i] if candidate_order else [])
-                                if c not in pattern[i]] for i in range(n)]
-    width = np.array([len(pattern[i]) for i in range(n)], dtype=np.int64)
-    cap = np.minimum(s_max, [len(q) for q in seqs])
+    n, n_c = psi_fine.shape[0], psi_coarse.shape[0]
+    seq, width, cap = _fit_sequences(pattern, candidate_order, n, n_c, s_max)
     deficient, active, done = 0, np.arange(n), []
     while active.size:
         grow = []
-        for pos, idx in _stack_by_size([seqs[i][:width[i]] for i in active]):
-            fit_rows, rhs = active[pos], psi_fine[active[pos]]
-            basis = psi_coarse[idx].transpose(0, 2, 1)  # g x m x k
-            u, s, vt = np.linalg.svd(basis, full_matrices=False)
-            keep = s > np.finfo(float).eps * max(basis.shape[1:]) * s[:, :1]
-            deficient += int((keep.sum(axis=1) < idx.shape[1]).sum())
-            coef = np.where(keep, np.einsum("gmr,gm->gr", u, rhs) / np.where(keep, s, 1.0), 0.0)
-            p = np.einsum("grk,gr->gk", vt, coef)
-            resid = np.linalg.norm(np.einsum("gmk,gk->gm", basis, p) - rhs, axis=1)
-            more = ~(resid <= eps_fit) & (width[fit_rows] < cap[fit_rows])
-            grow.append(fit_rows[more])
-            done.append((np.repeat(fit_rows[~more], idx.shape[1]), idx[~more], p[~more]))
+        for k in np.unique(width[active]):
+            same = active[width[active] == k]
+            for fit_rows in np.split(same, range(_FIT_ROWS, same.size, _FIT_ROWS)):
+                idx, rhs = seq[fit_rows, :k], psi_fine[fit_rows]
+                basis = psi_coarse[idx]  # g x k x m: each row's basis vectors
+                p, rank_short = _fit(basis, rhs)
+                deficient += rank_short
+                resid = np.linalg.norm(np.einsum("gkm,gk->gm", basis, p) - rhs, axis=1)
+                more = ~(resid <= eps_fit) & (k < cap[fit_rows])
+                grow.append(fit_rows[more])
+                done.append((np.repeat(fit_rows[~more], k), idx[~more], p[~more]))
         active = np.concatenate(grow)
         width[active] += 1
     if deficient:
         warnings.warn(f"{deficient} rank-deficient row fits solved in the "
                       "minimal-norm sense", stacklevel=2)
     rows, cols, vals = (np.concatenate(part, axis=None) for part in zip(*done or [((),) * 3]))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, psi_coarse.shape[0]))
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n_c))
     return interpolation.Prolongation(sparse.from_scipy(mat), "bootstrap_ls")
 
 
@@ -150,7 +256,7 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
         if part.n_aggregates >= hmod._STAGNATION * a.n_rows:
             return None
         vectors.append(_restrict_bamg(part, psi))
-        pattern = [[int(part.labels[v])] for v in range(a.n_rows)]
+        pattern = part.labels[:, None].tolist()
         p = ls_fit_prolongation(psi, vectors[-1], pattern, s_max=4, eps_fit=1e-8,
                                 candidate_order=_aggregate_candidates(part, s))
         return p, smoother, s, part

@@ -263,22 +263,3 @@ def cr_refine(a, smoother_factory, split, s=None, delta_f=0.7, max_rounds=5, see
         report.added += int(promoted.size)
         report.rounds += 1
     return CFSplitting(coarse), report
-
-
-def aggregates_from_cf(split, s):
-    """Aggregates grown from C points: each F vertex joins its nearest C point."""
-    g = _graph(s)
-    coarse = split.coarse_indices
-    labels = np.full(split.n, -1, dtype=np.int64)
-    labels[coarse] = np.arange(coarse.size)
-    queue = coarse.tolist()
-    for v in queue:  # breadth-first: the queue grows while it is read
-        for w in g.neighbors(v).tolist():
-            if labels[w] < 0:
-                labels[w] = labels[v]
-                queue.append(w)
-    # vertices unreachable in S become singletons
-    isolated = np.flatnonzero(labels < 0)
-    labels[isolated] = coarse.size + np.arange(isolated.size)
-    return AggregatePartition(labels, coarse.size + isolated.size,
-                              tuple(isolated.tolist()))

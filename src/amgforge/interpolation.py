@@ -321,33 +321,6 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
     return Prolongation(from_scipy(mat), "energymin")
 
 
-def coarse_elements(supports, n):
-    """Signature classes: vertices grouped by exact support membership."""
-    signature = [[] for _ in range(n)]
-    for k, idx in enumerate(supports.supports):
-        for v in np.asarray(idx, dtype=np.int64):
-            signature[v].append(k)
-    classes = {}
-    for v in range(n):
-        classes.setdefault(tuple(signature[v]), []).append(v)
-    return classes, [tuple(sig) for sig in signature]
-
-
-def harmonic_test_vertices(supports, graph, n):
-    """Vertices interior to their coarse element: neighbor signatures nest.
-
-    At such a vertex p every basis function not supported at p vanishes on
-    the whole neighborhood, so the minimizer must have zero A-residual there.
-    """
-    _, signature = coarse_elements(supports, n)
-    sig_sets = [set(s) for s in signature]
-    out = []
-    for p in range(n):
-        if all(sig_sets[q] <= sig_sets[p] for q in graph.neighbors(p)):
-            out.append(p)
-    return out
-
-
 def vector_preserving_interpolation(a, split, s, v):
     """Classical-style W that reproduces a prototype vector exactly.
 

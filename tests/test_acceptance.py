@@ -16,13 +16,14 @@ from amgforge import (adaptive, analysis, coarsening, hierarchy,
 from amgforge.coarsening import AggregatePartition, mis
 from amgforge.interpolation import (SupportSet, direct_interpolation,
                                     energy_min_prolongation,
-                                    harmonic_test_vertices,
                                     ideal_interpolation,
                                     multipass_interpolation, sa_prolongation,
                                     standard_interpolation,
                                     supports_from_aggregates, ua_prolongation)
 from amgforge.smoothers import GaussSeidel, Jacobi, symmetrize
 from amgforge.strength import StrengthConfig, strength_matrix
+
+from tests_support import harmonic_test_vertices
 
 
 def report(num, name, ok, detail=""):

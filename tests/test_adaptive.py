@@ -11,7 +11,7 @@ from amgforge.coarsening import AggregatePartition
 from amgforge.strength import full_strength
 
 
-from tests_support import (elasticity_like, point_block_partition,
+from tests_support import (count_svd_calls, elasticity_like, point_block_partition,
                            refuse_dense_eigh_beyond_cap)
 
 
@@ -76,6 +76,41 @@ class TestLsFit:
         with pytest.warns(UserWarning, match="rank-deficient"):
             ls_fit_prolongation(psi, psi_c, [[0, 1]] * 3)
 
+
+    def test_well_conditioned_fit_makes_no_svd(self, monkeypatch):
+        a, _ = problems.fe_jump_coefficient(20, 1e-6)
+        h, state = bootstrap_setup(a, seed=0)
+        level, psi = h.levels[0], state.test_vectors[0]  # the first level's fit inputs
+        psi_c = adaptive._restrict_bamg(level.coarsening, psi)
+        candidates = adaptive._aggregate_candidates(level.coarsening, level.strength)
+        calls = count_svd_calls(monkeypatch)
+        p = ls_fit_prolongation(psi, psi_c, level.coarsening.labels[:, None].tolist(),
+                                s_max=4, eps_fit=1e-8, candidate_order=candidates)
+        assert calls == []
+        assert (p.matrix.mat != level.p.matrix.mat).nnz == 0
+
+    def test_repeated_coarse_vector_still_takes_svd(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        psi_c = rng.standard_normal((3, 4))
+        psi_c[2] = psi_c[0]
+        calls = count_svd_calls(monkeypatch)
+        with pytest.warns(UserWarning, match="^1 rank-deficient"):
+            ls_fit_prolongation(rng.standard_normal((3, 4)), psi_c, [[0, 2], [0, 1], [1, 2]])
+        assert calls == [(1, 4, 2)]
+
+    @pytest.mark.parametrize("pattern, order, match", [
+        ([[0]] * 3, None, r"pattern has 3 rows, not one per fine row \(4\): row 3 is missing"),
+        ([[0]] * 5, None, "pattern has 5 rows.*row 4 is extra"),
+        ([[0]] * 4, [[1]] * 3, "candidate_order has 3 rows.*row 3 is missing"),
+        ([[0], [1], [2, 3], [0]], None, r"pattern row 2 holds coarse index 3, outside \[0, 3\)"),
+        ([[0], [-1], [1], [0]], None, "pattern row 1 holds coarse index -1"),
+        ([[0]] * 4, [[], [1, 2], [], [5]], "candidate_order row 3 holds coarse index 5"),
+    ])
+    def test_malformed_pattern_refused_by_row(self, pattern, order, match):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=match):
+            ls_fit_prolongation(rng.standard_normal((4, 2)), rng.standard_normal((3, 2)),
+                                pattern, candidate_order=order)
 
 class TestBootstrap:
     def test_plain_laplacian_quick_convergence(self):

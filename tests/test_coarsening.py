@@ -6,11 +6,12 @@ import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from amgforge import coarsening, problems, smoothers, sparse, strength
-from amgforge.coarsening import (CFSplitting,
-                                 aggregates_from_cf, aggressive_coarsen,
+from amgforge.coarsening import (CFSplitting, aggressive_coarsen,
                                  check_mis, cr_refine, greedy_aggregate, mis,
                                  pairwise_aggregate)
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
+
+from tests_support import aggregates_from_cf
 
 
 def path_strength(n):

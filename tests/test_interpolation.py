@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from amgforge import coarsening, interpolation, problems, smoothers, sparse
 from amgforge.coarsening import AggregatePartition, CFSplitting
 from amgforge.interpolation import (InterpolationError, SupportSet,
-                                    coarse_elements, direct_interpolation,
+                                    direct_interpolation,
                                     energy_min_prolongation,
-                                    harmonic_test_vertices,
                                     ideal_interpolation,
                                     multipass_interpolation, sa_prolongation,
                                     spectral_amge_coarse_space,
@@ -22,6 +21,8 @@ from amgforge.interpolation import (InterpolationError, SupportSet,
                                     verify_full_rank)
 from amgforge.linalg import DENSE_CAP
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
+
+from tests_support import harmonic_test_vertices
 
 EVEN_SPLIT_5 = CFSplitting(np.array([False, True, False, True, False]))
 

@@ -1,4 +1,6 @@
-"""Shared fixtures for the adaptive, acceptance and cap tests."""
+"""Shared fixtures for the adaptive, acceptance and cap tests, and the
+test-only constructions the coarsening, interpolation and acceptance tests
+check the library against."""
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +22,19 @@ def refuse_dense_eigh_beyond_cap(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", capped)
 
+
+
+def count_svd_calls(monkeypatch):
+    """Record the shape of every ``np.linalg.svd`` argument in the returned
+    list, so a test shows which path a fit took."""
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
 
 def elasticity_like(nx, ny):
     """SSPD system whose kernel is exactly the rigid-body modes: a sum of
@@ -53,3 +68,38 @@ def point_block_partition(nx, ny, bx=2, by=2):
             labels[2 * p] = index[key]
             labels[2 * p + 1] = index[key]
     return AggregatePartition(labels, n_agg)
+
+
+def aggregates_from_cf(split, s):
+    """Aggregates grown from the C points of ``split`` over the strength matrix
+    ``s``: each F vertex joins its nearest C point."""
+    g = s.graph
+    coarse = split.coarse_indices
+    labels = np.full(split.n, -1, dtype=np.int64)
+    labels[coarse] = np.arange(coarse.size)
+    queue = coarse.tolist()
+    for v in queue:  # breadth-first: the queue grows while it is read
+        for w in g.neighbors(v).tolist():
+            if labels[w] < 0:
+                labels[w] = labels[v]
+                queue.append(w)
+    # vertices unreachable in S become singletons
+    isolated = np.flatnonzero(labels < 0)
+    labels[isolated] = coarse.size + np.arange(isolated.size)
+    return AggregatePartition(labels, coarse.size + isolated.size,
+                              tuple(isolated.tolist()))
+
+
+def harmonic_test_vertices(supports, graph, n):
+    """Vertices interior to their coarse element: neighbor signatures (the
+    sets of supports holding a vertex) nest in the vertex's own.
+
+    At such a vertex p every basis function not supported at p vanishes on
+    the whole neighborhood, so the minimizer must have zero A-residual there.
+    """
+    signature = [set() for _ in range(n)]
+    for k, idx in enumerate(supports.supports):
+        for v in np.asarray(idx, dtype=np.int64):
+            signature[v].add(k)
+    return [p for p in range(n)
+            if all(signature[q] <= signature[p] for q in graph.neighbors(p))]
