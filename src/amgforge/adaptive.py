@@ -14,7 +14,6 @@ vectors restricted to each aggregate, and ``asa_add_vector`` widens a
 one-partition state by one more test vector.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -24,10 +23,10 @@ import scipy.sparse as sp
 
 from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # perfbench/tracer.py patches SymPseudoInverse in this module by name, so it stays bound.
-from .linalg import SymPseudoInverse, _columns, _refuse_beyond_cap  # noqa: F401
+from .linalg import (SymPseudoInverse, _columns, _index_lists,  # noqa: F401
+                     _refuse_beyond_cap, _stack_by_size)
 from .smoothers import make_smoother
 
-_FIT_ROWS = 1024  # rows per least-squares fit block, which bounds the fit's work arrays
 _COND_HANDOFF = 1e8  # a QR fit whose ||R||_F ||R^-1||_F reaches this is refitted by SVD
 
 
@@ -43,29 +42,19 @@ class AdaptiveState:
     q: int = 4
 
 
-def _flat_rows(rows, n, n_c, what):
-    """Per-row coarse index lists as (lengths, flat indices), refusing by name
-    a row count other than ``n`` or an index outside [0, n_c)."""
-    if len(rows) != n:
-        raise ValueError(f"{what} has {len(rows)} rows, not one per fine row ({n}): "
-                         f"row {min(len(rows), n)} is {'extra' if len(rows) > n else 'missing'}")
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=lens.sum())
-    bad = np.flatnonzero((flat < 0) | (flat >= n_c))
-    if bad.size:
-        row = np.searchsorted(np.cumsum(lens), bad[0], side="right")
-        raise ValueError(f"{what} row {row} holds coarse index {flat[bad[0]]}, "
-                         f"outside [0, {n_c})")
-    return lens, flat
-
-
 def _fit_sequences(pattern, candidate_order, n, n_c, s_max):
     """Each row's allowed sequence, its pattern then its candidates not in the
     pattern, as an (n, width) array padded with 0; and each row's start and
     final widths, len(pattern[i]) and max(that, min(s_max, len(sequence)))."""
-    p_len, p_flat = _flat_rows(pattern, n, n_c, "pattern")
     order = [()] * n if candidate_order is None else candidate_order
-    o_len, o_flat = _flat_rows(order, n, n_c, "candidate_order")
+    csr = []
+    for rows, what in ((pattern, "pattern"), (order, "candidate_order")):
+        if len(rows) != n:
+            raise ValueError(f"{what} has {len(rows)} rows, not one per fine row ({n}): row "
+                             f"{min(len(rows), n)} is {'extra' if len(rows) > n else 'missing'}")
+        csr.append(_index_lists(rows, n_c, what + " row"))
+    (p_ptr, p_flat), (o_ptr, o_flat) = csr
+    p_len, o_len = np.diff(p_ptr), np.diff(o_ptr)
     p_row, o_row = np.repeat(np.arange(n), p_len), np.repeat(np.arange(n), o_len)
     # (row, index) keys of the pattern, sorted, ending in a key above them all
     taken, key = np.append(np.sort(p_row * n_c + p_flat), n * n_c), o_row * n_c + o_flat
@@ -150,8 +139,8 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     than ``s_max`` entries, the pattern grows along ``candidate_order``
     (nearest coarse dofs first).  Exact zeros are dropped at the end.
 
-    The rows of one pattern width are fitted together, ``_FIT_ROWS`` at a
-    time, by one vectorized CGS2 QR.  A row goes to a stacked SVD with
+    The rows of one pattern width are fitted by one vectorized CGS2 QR per
+    stack of ``linalg._stack_by_size``.  A row goes to a stacked SVD with
     ``lstsq``'s default rank cutoff instead when its width is 0 or exceeds
     the number of test vectors, or its R has a zero diagonal entry or
     ||R||_F ||R^-1||_F >= 1e8.  Below that bound sigma_min / sigma_max >
@@ -159,8 +148,8 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     rank deficient.  Rank-deficient fits fall back to the minimal-norm
     solution and are flagged with a warning.  A ``pattern`` or
     ``candidate_order`` without one row per fine row, or with an index
-    outside [0, n_c), is refused by a ``ValueError`` that names the first
-    bad row.
+    outside [0, n_c) (``linalg._index_lists``), is refused by a
+    ``ValueError`` that names the first bad row.
     """
     psi_fine, psi_coarse = _columns(psi_fine), _columns(psi_coarse)
     if psi_fine.shape[1] != psi_coarse.shape[1]:
@@ -170,17 +159,16 @@ def ls_fit_prolongation(psi_fine, psi_coarse, pattern, s_max=8, eps_fit=1e-3,
     deficient, active, done = 0, np.arange(n), []
     while active.size:
         grow = []
-        for k in np.unique(width[active]):
-            same = active[width[active] == k]
-            for fit_rows in np.split(same, range(_FIT_ROWS, same.size, _FIT_ROWS)):
-                idx, rhs = seq[fit_rows, :k], psi_fine[fit_rows]
-                basis = psi_coarse[idx]  # g x k x m: each row's basis vectors
-                p, rank_short = _fit(basis, rhs)
-                deficient += rank_short
-                resid = np.linalg.norm(np.einsum("gkm,gk->gm", basis, p) - rhs, axis=1)
-                more = ~(resid <= eps_fit) & (k < cap[fit_rows])
-                grow.append(fit_rows[more])
-                done.append((np.repeat(fit_rows[~more], k), idx[~more], p[~more]))
+        for pos, k in _stack_by_size(width[active]):
+            fit_rows = active[pos]
+            idx, rhs = seq[fit_rows, :k], psi_fine[fit_rows]
+            basis = psi_coarse[idx]  # g x k x m: each row's basis vectors
+            p, rank_short = _fit(basis, rhs)
+            deficient += rank_short
+            resid = np.linalg.norm(np.einsum("gkm,gk->gm", basis, p) - rhs, axis=1)
+            more = ~(resid <= eps_fit) & (k < cap[fit_rows])
+            grow.append(fit_rows[more])
+            done.append((np.repeat(fit_rows[~more], k), idx[~more], p[~more]))
         active = np.concatenate(grow)
         width[active] += 1
     if deficient:
@@ -201,7 +189,7 @@ def _block_delta(a, before, after):
 
 def _restrict_bamg(part, psi):
     """Coarse dof evaluations: aggregate averages of each test vector."""
-    return (interpolation.ua_prolongation(part).matrix.mat.T @ psi) / part.sizes()[:, None]
+    return (interpolation._membership(part.labels, part.n_aggregates) @ psi) / part.sizes()[:, None]
 
 
 def _restrict_asa(part, psi):

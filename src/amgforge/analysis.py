@@ -98,8 +98,9 @@ _FRAMES = weakref.WeakKeyDictionary()
 
 def _frame(a, rbar):
     """The dense frame of (A, Rbar), Rbar a smoother or a dense n x n array;
-    a smoother over this very A gets its cached frame."""
-    if not (isinstance(rbar, Smoother) and a is rbar.a):
+    a smoother over this very A, or over a CSR-equal copy, gets its cached frame."""
+    if not (isinstance(rbar, Smoother) and (a is rbar.a or (
+            a.shape == rbar.a.shape and (a.mat != rbar.a.mat).nnz == 0))):
         return _build_frame(a, rbar)
     symmetrized = isinstance(rbar, SymmetrizedSmoother)
     slots = _FRAMES.setdefault(rbar.inner if symmetrized else rbar, {})
@@ -384,7 +385,7 @@ def two_level_report(a, smoother, p, kernel=None, include_mu=False):
     """
     rbar = symmetrize(smoother)
     # the frame is built before error_norm's arrays, and k_of_vc finds it
-    # cached when A is the smoother's own
+    # cached when A is the smoother's own or a CSR-equal copy of it
     frame = _frame(a, rbar)
     e_sq = two_level_error_norm(a, smoother, p, kernel=kernel) ** 2
     k = k_of_vc(a, rbar, p, kernel)

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, _columns, _refuse_beyond_cap, _stack_by_size
+from .linalg import DENSE_CAP, _columns, _index_lists, _refuse_beyond_cap, _stack_by_size
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
@@ -176,9 +176,9 @@ def multipass_interpolation(a, split, s):
 
 def _membership(labels, n_groups):
     """The n_groups x labels.size 0/1 matrix with row k the ascending indices i
-    of ``labels == k``.  scipy's COO-to-CSR conversion is a counting sort that
-    keeps input order within a row, so this is O(labels.size + n_groups).
-    """
+    of ``labels == k``: the one statement of aggregate membership.  scipy's
+    COO-to-CSR conversion is a counting sort that keeps input order within a
+    row, so this is O(labels.size + n_groups)."""
     return sp.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))),
                          shape=(n_groups, labels.size))
 
@@ -187,22 +187,22 @@ def ua_prolongation(partition, vectors=None):
     """Piecewise-constant (or per-aggregate multi-vector) prolongation.
 
     With k preserved vectors the coarse dofs are aggregate-major blocks of
-    width k, and P (1 (x) e_j) reproduces vector j exactly.  Every aggregate
-    block must have rank k; the ranks come from one stacked SVD per
-    aggregate size, so the cost is linear in n for bounded aggregate sizes.
+    width k, and P (1 (x) e_j) reproduces vector j exactly.  Without vectors
+    P is the transpose of the aggregate membership matrix.  Every aggregate
+    block must have rank k; the ranks come from stacked SVDs of one aggregate
+    size each, so the cost is linear in n for bounded aggregate sizes.
     """
     n = partition.n
+    member = _membership(partition.labels, partition.n_aggregates)
     if vectors is None:
-        mat = sp.coo_matrix((np.ones(n), (np.arange(n), partition.labels)),
-                            shape=(n, partition.n_aggregates))
-        return Prolongation(from_scipy(mat), "ua")
+        return Prolongation(from_scipy(member.T), "ua")
     vectors = _columns(vectors)
     if vectors.shape[0] != n or not np.isfinite(vectors).all():
         raise ValueError(f"vectors must be {n} finite rows, one per vertex")
     k = vectors.shape[1]
-    member = _membership(partition.labels, partition.n_aggregates)
     bad = []
-    for pos, idx in _stack_by_size(np.split(member.indices, member.indptr[1:-1])):
+    for pos, size in _stack_by_size(np.diff(member.indptr)):
+        idx = member.indices[member.indptr[pos, None] + np.arange(size)]
         bad.extend(pos[np.linalg.matrix_rank(vectors[idx]) < k].tolist())
     if bad:
         raise InterpolationError(
@@ -248,16 +248,9 @@ class SupportSet:
 
         One pass over the concatenated supports: O(n + total support size).
         """
-        lists = [np.asarray(s, dtype=np.int64).ravel() for s in self.supports]
-        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)), out=indptr[1:])
-        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
-        outside = np.flatnonzero((flat < 0) | (flat >= n))
-        if outside.size:
-            k = int(np.searchsorted(indptr, outside[0], side="right")) - 1
-            raise ValueError(f"support {k} has an index outside 0..{n - 1}")
+        indptr, flat = _index_lists(self.supports, n, "support")
         # a vertex repeated within one support counts once, as for a set
-        incidence = sp.csr_matrix((np.ones(flat.size), flat, indptr), shape=(len(lists), n))
+        incidence = sp.csr_matrix((np.ones(flat.size), flat, indptr), shape=(indptr.size - 1, n))
         incidence.sum_duplicates()
         counts = np.bincount(incidence.indices, minlength=n)
         if (counts == 0).any():
@@ -311,10 +304,9 @@ def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
     lam, report = pcg_solve(op, constraint, tol=cg_tol, max_it=10 * n)
     if not report.converged:
         raise CGConvergenceError("conjugate gradients stagnated on the additive operator")
-    rows, vals = zip(*b.local_solves(lam))
-    cols = np.repeat(np.arange(len(rows)), [r.size for r in rows])
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
-                        shape=(n, len(rows)))
+    # column i holds support i's local solve: the subspaces' CSR layout is P's CSC
+    vals = np.concatenate([y for _, y in b.local_solves(lam)])
+    mat = sp.csc_matrix((vals, b.flat, b.ptr), shape=(n, b.ptr.size - 1))
     defect = np.abs(np.asarray(mat.sum(axis=1)).ravel() - constraint).max()
     if defect > 1e-8 * max(1.0, np.abs(constraint).max()):
         raise CGConvergenceError(f"partition-of-unity defect {defect:.2e}")
@@ -362,19 +354,15 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
     labels = np.asarray(getattr(element_labels, "labels", element_labels), dtype=np.int64)
     if labels.size != len(assembly.elements):
         raise ValueError("element_labels must assign every element to an agglomerate")
-    n_agg = int(labels.max()) + 1
-    a = assembly.assemble()
-    n = a.n_rows
-    global_diag = a.diagonal()
+    n_agg, n = int(labels.max()) + 1, assembly.n_vertices
+    ptr, flat = _index_lists([v for v, _ in assembly.elements], n, "element")
+    global_diag = assembly.assemble().diagonal()
     empty = np.flatnonzero(np.bincount(labels, minlength=n_agg) == 0)
     if empty.size:
         raise ValueError(f"agglomerate {empty[0]} owns no elements")
     # agglomerate j's vertices, ascending: row j of (agglomerate x element) @
     # (element x vertex) incidence, one sparse product in O(n + elements)
-    elem_verts = np.array([v for v, _ in assembly.elements], dtype=np.int64)
-    incidence = sp.csr_matrix((np.ones(elem_verts.size), elem_verts.ravel(),
-                               np.arange(0, elem_verts.size + 1, elem_verts.shape[1])),
-                              shape=(labels.size, n))
+    incidence = sp.csr_matrix((np.ones(flat.size), flat, ptr), shape=(labels.size, n))
     reach = _membership(labels, n_agg) @ incidence
     reach.sort_indices()
     members = np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])
@@ -401,6 +389,6 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
         raise ValueError("partition-of-unity weights do not sum to one; "
                          "assembly and agglomerates are inconsistent")
     blocks = sp.block_diag(cols).tocoo()  # rows follow the concatenated members
-    mat = sp.coo_matrix((blocks.data, (np.concatenate(members)[blocks.row], blocks.col)),
+    mat = sp.coo_matrix((blocks.data, (reach.indices[blocks.row], blocks.col)),
                         shape=(n, n_agg * m_per))
     return Prolongation(from_scipy(mat), "spectral_amge")

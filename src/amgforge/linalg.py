@@ -1,6 +1,9 @@
 """Shared linear algebra: the dense cap and its one refusal, the one coarse-solve
 rule (a pseudo-inverse within the cap, a nonsingular sparse LU beyond it),
-vectors as block columns and the size grouping of stacked local solves."""
+vectors as block columns, the one range check and CSR layout of local index
+lists, and the one size-stack rule of stacked local solves."""
+
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -14,7 +17,7 @@ DENSE_CAP = 2000
 # Beyond the cap, an LU pivot of at most this times the order times the largest
 # marks a singular matrix, whose smallest pivot reads near 0.15 n eps.
 _SINGULAR_PIVOT = 100 * np.finfo(float).eps
-_STACK_ROWS = 128  # lists per stack in _stack_by_size, which bounds a stacked solve's arrays
+_STACK_ROWS = 1024  # positions per stack in _stack_by_size, which bounds a stacked solve's arrays
 
 
 def _refuse_beyond_cap(n, what):
@@ -75,10 +78,28 @@ def _columns(x):
     return None if x is None else np.atleast_2d(np.asarray(x, dtype=float).T).T
 
 
-def _stack_by_size(index_lists):
-    """Per list length k, ascending, in stacks of <= _STACK_ROWS: the positions and (g, k) stack."""
-    sizes = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
+def _index_lists(rows, n, what):
+    """Local index sets (fit rows, supports, subspaces, blocks, elements) as CSR
+    arrays (ptr, flat), set k being flat[ptr[k]:ptr[k + 1]]; the first set holding
+    an index outside [0, n) is refused by a ValueError naming it as ``what`` k."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ptr = np.concatenate([[0], np.cumsum(lens)])
+    # concatenate is 7x faster than fromiter on arrays, and fromiter 3x faster on lists
+    if len(rows) and isinstance(rows[0], np.ndarray):
+        flat = np.concatenate(rows).astype(np.int64, copy=False)
+    else:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=ptr[-1])
+    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    if bad.size:
+        k = np.searchsorted(ptr, bad[0], side="right") - 1
+        raise ValueError(f"{what} {k} holds index {flat[bad[0]]}, outside [0, {n})")
+    return ptr, flat
+
+
+def _stack_by_size(sizes):
+    """Per size k, ascending, the positions of that size in chunks of at most
+    _STACK_ROWS: yields (positions, k), and each caller gathers its own stack."""
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
         for pos in np.split(same, range(_STACK_ROWS, same.size, _STACK_ROWS)):
-            yield pos, np.array([index_lists[p] for p in pos], dtype=np.int64).reshape(pos.size, k)
+            yield pos, k

@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import _refuse_beyond_cap, _stack_by_size
+from .linalg import _index_lists, _refuse_beyond_cap, _stack_by_size
 from .sparse import _masked_indptr
 
 
@@ -150,20 +150,19 @@ class SubspaceCorrection(Smoother):
     may overlap; singleton subspaces reproduce unit-weight Jacobi.  Blocks of one
     size share one batched Cholesky; a local solve is cho_solve's own LAPACK
     ``potrs``, keeping B's rounding, which the energy-min basis amplifies.
+    ``ptr`` and ``flat`` hold the subspaces in CSR layout (``_index_lists``).
     """
 
     def __init__(self, a, subspaces):
         super().__init__(a)
-        subspaces = [np.asarray(s, dtype=np.int64) for s in subspaces]
-        covered = np.zeros(self.n, dtype=bool)
-        for s in subspaces:
-            covered[s] = True
-        if not covered.all() or not all(map(len, subspaces)):
+        ptr, flat = self.ptr, self.flat = _index_lists(subspaces, self.n, "subspace")
+        sizes = np.diff(ptr)
+        if not (sizes.all() and np.bincount(flat, minlength=self.n).all()):
             raise ValueError("subspaces must be non-empty and cover every index")
-        self.subspaces = subspaces
+        self.subspaces = [flat[i:j] for i, j in zip(ptr.tolist(), ptr[1:].tolist())]
         self._factors, singular = {}, []
-        for pos, idx in _stack_by_size(subspaces):
-            k = idx.shape[1]
+        for pos, k in _stack_by_size(sizes):
+            idx = flat[ptr[pos, None] + np.arange(k)]
             rows, cols = np.repeat(idx, k, axis=1).ravel(), np.tile(idx, k).ravel()
             blocks = np.asarray(a.mat[rows, cols]).reshape(-1, k, k)
             try:
@@ -199,11 +198,11 @@ class BlockGaussSeidel(GaussSeidel):
 
     def __init__(self, a, blocks):
         Smoother.__init__(self, a)
-        idx = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
-        if not np.array_equal(np.sort(idx), np.arange(self.n)):
+        ptr, flat = _index_lists(blocks, self.n, "block")
+        if not (np.bincount(flat, minlength=self.n) == 1).all():
             raise ValueError("blocks must be disjoint and cover every index")
         block_of = np.empty(self.n, dtype=np.int64)
-        block_of[idx] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        block_of[flat] = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
         self.omega = 1.0
         self._lu = _lower_solver(a, block_of, 1.0, "MMD_AT_PLUS_A")
 

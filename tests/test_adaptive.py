@@ -102,9 +102,9 @@ class TestLsFit:
         ([[0]] * 3, None, r"pattern has 3 rows, not one per fine row \(4\): row 3 is missing"),
         ([[0]] * 5, None, "pattern has 5 rows.*row 4 is extra"),
         ([[0]] * 4, [[1]] * 3, "candidate_order has 3 rows.*row 3 is missing"),
-        ([[0], [1], [2, 3], [0]], None, r"pattern row 2 holds coarse index 3, outside \[0, 3\)"),
-        ([[0], [-1], [1], [0]], None, "pattern row 1 holds coarse index -1"),
-        ([[0]] * 4, [[], [1, 2], [], [5]], "candidate_order row 3 holds coarse index 5"),
+        ([[0], [1], [2, 3], [0]], None, r"pattern row 2 holds index 3, outside \[0, 3\)"),
+        ([[0], [-1], [1], [0]], None, "pattern row 1 holds index -1"),
+        ([[0]] * 4, [[], [1, 2], [], [5]], "candidate_order row 3 holds index 5"),
     ])
     def test_malformed_pattern_refused_by_row(self, pattern, order, match):
         rng = np.random.default_rng(0)

@@ -500,15 +500,29 @@ class TestFrameCache:
         gc.collect()
         assert frame() is None
 
-    def test_hit_needs_the_smoothers_own_a(self):
+    def test_hit_needs_an_a_equal_to_the_smoothers(self):
         a = problems.laplace_1d(8)
         gs = GaussSeidel(a)
         frame = analysis._frame(a, symmetrize(gs))
         assert analysis._frame(a, symmetrize(gs)) is frame
         twin = sparse.from_scipy(a.mat.copy(), sparse.SYMMETRIC)
-        other = analysis._frame(twin, symmetrize(gs))
+        assert analysis._frame(twin, symmetrize(gs)) is frame
+        scaled = sparse.from_scipy(2.0 * a.mat, sparse.SYMMETRIC)
+        other = analysis._frame(scaled, symmetrize(gs))
         assert other is not frame and np.array_equal(other.rinv, frame.rinv)
+        assert np.array_equal(other.a, 2.0 * frame.a)
         assert analysis._frame(a, symmetrize(gs)) is frame
+
+    def test_report_on_a_twin_builds_one_frame(self, monkeypatch):
+        a = problems.laplace_1d(8)
+        twin = sparse.from_scipy(a.mat.copy(), sparse.SYMMETRIC)
+        p = interpolation.ua_prolongation(coarsening.AggregatePartition(np.arange(8) // 2, 4))
+        builds, build = [], analysis._build_frame
+        monkeypatch.setattr(analysis, "_build_frame",
+                            lambda a, rbar: builds.append(rbar) or build(a, rbar))
+        report = two_level_report(twin, GaussSeidel(a), p, include_mu=True)
+        assert len(builds) == 1
+        assert report.identity_gap < 1e-12
 
     def test_cached_arrays_are_read_only(self):
         a = problems.laplace_1d(8)

@@ -320,7 +320,7 @@ class TestEnergyMin:
     def test_repeated_vertex_counts_once(self):
         # vertex 1 is private to support 1 even though support 1 lists it twice
         SupportSet((np.array([0, 2]), np.array([1, 1, 2]))).validate(3)
-        with pytest.raises(ValueError, match="support 1 has an index outside"):
+        with pytest.raises(ValueError, match=r"support 1 holds index 3, outside \[0, 3\)"):
             SupportSet((np.array([0, 1]), np.array([2, 3]))).validate(3)
 
     def test_singular_local_block_named(self):

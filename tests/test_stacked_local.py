@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from amgforge import coarsening, problems, sparse
 from amgforge.adaptive import bootstrap_setup, ls_fit_prolongation
-from amgforge.interpolation import energy_min_prolongation, supports_from_aggregates
-from amgforge.smoothers import SingularSmootherError, SubspaceCorrection
+from amgforge.interpolation import (SupportSet, energy_min_prolongation,
+                                    spectral_amge_coarse_space, supports_from_aggregates)
+from amgforge.problems import ElementAssembly
+from amgforge.smoothers import BlockGaussSeidel, SingularSmootherError, SubspaceCorrection
 from amgforge.strength import StrengthConfig, strength_matrix
 
 BOOTSTRAP_SEEDS = (0, 1, 2)
@@ -157,3 +159,27 @@ def test_subspace_correction_names_first_singular_subspace():
         SubspaceCorrection(a, subspaces)
     with pytest.raises(SingularSmootherError, match="subspace 1 "):
         SubspaceCorrection(a, [[0, 1, 2], [3], [4, 5], [1]])
+
+
+_RNG = np.random.default_rng(0)
+_PSI, _PSI_C = _RNG.standard_normal((3, 2)), _RNG.standard_normal((4, 2))
+_FOUR = problems.laplace_1d(4)
+_BUILD_FROM = {  # each local index set's constructor, over index range [0, 4)
+    "pattern row": lambda lists: ls_fit_prolongation(_PSI, _PSI_C, lists),
+    "candidate_order row":
+        lambda lists: ls_fit_prolongation(_PSI, _PSI_C, [[0]] * 3, candidate_order=lists),
+    "support": lambda lists: SupportSet(tuple(map(np.array, lists))).validate(4),
+    "subspace": lambda lists: SubspaceCorrection(_FOUR, lists),
+    "block": lambda lists: BlockGaussSeidel(_FOUR, lists),
+    "element": lambda lists: spectral_amge_coarse_space(
+        ElementAssembly(4, [(v, np.eye(len(v))) for v in lists]), np.zeros(3, dtype=int), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("what", list(_BUILD_FROM))
+def test_index_outside_range_refused_by_name(what, bad):
+    # every local index set goes through one range check, which names the
+    # first list holding an index outside [0, 4); a negative one never wraps
+    with pytest.raises(ValueError, match=rf"^{what} 2 holds index {bad}, outside \[0, 4\)$"):
+        _BUILD_FROM[what]([[0, 1], [2, 3], [bad]])
