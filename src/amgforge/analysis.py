@@ -7,8 +7,13 @@ smoother/prolongation pair produced by the rest of the package.
 
 Within ``DENSE_CAP`` unknowns the error norm is exact: the top eigenvalue of
 the pencil (E'AE, A) of the materialized propagator.  The Rbar-norm oracles
-share one dense frame: A, Rbar^{-1} (from a single eigendecomposition of
-Rbar) and the spectrum mu of Rbar A.  A smoother's frame is built once and
+share one dense frame: A, Rbar^{-1} and the spectrum mu of Rbar A.  For the
+symmetrized Gauss-Seidel, line Gauss-Seidel and Jacobi smoothers over a
+symmetric A, Rbar^{-1} = M (M + M' - A)^{-1} M' comes from the smoother's
+sparse inverse M = R^{-1} and one sparse factorization of M + M' - A; for
+any other Rbar (subspace correction, SGS as an inner smoother, a raw
+smoother, a dense array) it comes from one eigendecomposition of the
+materialized Rbar.  A smoother's frame is built once and
 held, read-only, for as long as the smoother lives, so every report on one
 smoother shares it; the P- and kernel-dependent parts, the error norm and
 K(V_c), are computed per report.  The optimal coarse space is the low end of
@@ -29,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .linalg import DENSE_CAP, SymPseudoInverse, _columns, _refuse_beyond_cap
 from .smoothers import Smoother, SymmetrizedSmoother, symmetrize
-from .sparse import SparseMatrix
+from .sparse import SYMMETRIC, SparseMatrix
 
 
 def materialize(action, n):
@@ -71,11 +77,13 @@ def _p_matrix(p):
 
 def _top_eigenvalue(m, b, overwrite_b=False):
     """Largest eigenvalue of the symmetric pencil (m, b), b = A on the tested space, which
-    must be positive definite; ``overwrite_b`` lets eigh work in b's memory."""
+    must be positive definite.  m is symmetrized in place and eigh works in its memory;
+    ``overwrite_b`` lets eigh work in b's too."""
     k = m.shape[0]
-    sym = 0.5 * (m + m.T)  # exactly symmetric, so sym.T is sym in the F order eigh works in
+    m += m.T  # exactly symmetric, so m.T is m in the F order eigh works in
+    m *= 0.5
     try:
-        return float(scipy.linalg.eigh(sym.T, b, eigvals_only=True, subset_by_index=[k - 1, k - 1],
+        return float(scipy.linalg.eigh(m.T, b, eigvals_only=True, subset_by_index=[k - 1, k - 1],
                                        overwrite_a=True, overwrite_b=overwrite_b)[0])
     except np.linalg.LinAlgError as exc:
         raise ValueError("A is singular on the tested space; pass its kernel") from exc
@@ -109,22 +117,59 @@ def _frame(a, rbar):
     return slots[symmetrized]
 
 
+_NOT_SPD = "Rbar must be SPD (smoother not A-convergent)"
+
+
 def _build_frame(a, rbar):
-    """Dense A and Rbar^{-1} from one eigendecomposition of Rbar (a smoother
-    or a dense array), both read-only; Rbar must be SPD."""
+    """Dense A and Rbar^{-1} of (A, Rbar), both read-only; Rbar must be SPD.
+
+    A smoother R = M^{-1} with a sparse M (``Smoother.sparse_inverse``) over
+    a symmetric A, taken symmetrized, gets the closed form of its inverse
+    (``_closed_form_rinv``), built from the smoother's own A.  Any other
+    Rbar (a smoother with no sparse inverse, a raw smoother, a dense array)
+    is materialized and inverted by one eigendecomposition."""
     n = a.n_rows
     _refuse_beyond_cap(n, "the Rbar frame")
-    if isinstance(rbar, Smoother):
-        rbar = materialize(rbar.action, n)
-    rbar = np.asarray(rbar, dtype=float)
-    if rbar.shape != (n, n):
-        raise ValueError("Rbar has the wrong shape")
-    w, v = scipy.linalg.eigh(0.5 * (rbar + rbar.T))
-    if w[0] <= 0.0:
-        raise ValueError("Rbar must be SPD (smoother not A-convergent)")
-    frame = _Frame(a.toarray(), (v / w) @ v.T)
+    m = None
+    if isinstance(rbar, SymmetrizedSmoother) and rbar.inner.a.symmetry == SYMMETRIC:
+        m = rbar.inner.sparse_inverse()
+    if m is not None:
+        rinv = _closed_form_rinv(rbar.inner.a, m)
+    else:
+        if isinstance(rbar, Smoother):
+            rbar = materialize(rbar.action, n)
+        rbar = np.asarray(rbar, dtype=float)
+        if rbar.shape != (n, n):
+            raise ValueError("Rbar has the wrong shape")
+        w, v = scipy.linalg.eigh(0.5 * (rbar + rbar.T))
+        if w[0] <= 0.0:
+            raise ValueError(_NOT_SPD)
+        rinv = (v / w) @ v.T
+    frame = _Frame(a.toarray(), rinv)
     frame.a.flags.writeable = frame.rinv.flags.writeable = False
     return frame
+
+
+def _closed_form_rinv(a, m):
+    """Dense Rbar^{-1} = M K^{-1} M' for Rbar = R + R' - R'AR with R = M^{-1}
+    and A symmetric, where K = M + M' - A: diagonal for point GS, the line
+    blocks for line GS.  K is factored sparsely, and refused unless SPD."""
+    k = sp.csc_matrix(m + m.T - a.mat)
+    try:
+        lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise ValueError(_NOT_SPD) from exc
+    # pivoting on the diagonal only (perm_r equal to perm_c), the LU of a
+    # symmetric K is its LDL', so K is SPD exactly when every pivot is positive
+    if (lu.perm_r != lu.perm_c).any() or not (lu.U.diagonal() > 0.0).all():
+        raise ValueError(_NOT_SPD)
+    y = lu.solve(m.T.toarray())  # K^{-1} M', in Fortran order
+    rinv = m @ np.ascontiguousarray(y)  # scipy's fast sparse-by-block product reads C order
+    del y
+    rinv += rinv.T  # exactly symmetric
+    rinv *= 0.5
+    return rinv
 
 
 def _mu(frame):
@@ -232,8 +277,13 @@ def two_level_error_action(a, smoother, p):
     adj = smoother.adjoint()
 
     def e_action(v):
-        w = v - pmat @ coarse().solve(pmat_t @ (amat @ v))
-        return w - smoother.action(amat @ w)
+        # in place, and v dropped once read: the identity materialize hands
+        # over is then freed before the smoother's arrays are made, so E on
+        # the identity holds three n x n arrays at once, not four
+        w = pmat @ coarse().solve(pmat_t @ (amat @ v))
+        np.subtract(v, w, out=w)
+        del v
+        return np.subtract(w, smoother.action(amat @ w), out=w)
 
     def e_action_t(v):
         w = v - amat @ (adj.action(v))
@@ -266,7 +316,8 @@ def k_of_vc(a, rbar, p, kernel=None):
         if defect > 1e-8 * max(1.0, np.linalg.norm(kernel)):
             raise ValueError("kernel of A is not contained in range(P)")
     x = f.rinv @ pm
-    m = f.rinv - x @ np.linalg.solve(pm.T @ x, x.T)
+    m = x @ np.linalg.solve(pm.T @ x, x.T)
+    np.subtract(f.rinv, m, out=m)  # in place: one n x n array fewer
     u = _complement(kernel)
     # K >= 1 whenever range(P) is a proper subspace; the degenerate
     # full-space case (Q_c = identity) has rate 0, i.e. K = 1

@@ -13,7 +13,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import DENSE_CAP, _columns, _index_lists, _refuse_beyond_cap, _stack_by_size
+from .linalg import (DENSE_CAP, _columns, _index_lists, _index_sets, _refuse_beyond_cap,
+                     _stack_by_size)
 from .sparse import SparseMatrix, from_scipy, bfs_distance
 from .smoothers import SingularSmootherError, SubspaceCorrection, estimate_rho_dinv_a
 
@@ -277,7 +278,7 @@ def supports_from_aggregates(partition, s):
     closed = pattern + sp.identity(partition.n, format="csr")
     reach = _membership(partition.labels, partition.n_aggregates) @ closed
     reach.sort_indices()
-    return SupportSet(tuple(np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])))
+    return SupportSet(tuple(_index_sets(reach.indptr, reach.indices.astype(np.int64))))
 
 
 def energy_min_prolongation(a, supports, constraint=None, cg_tol=1e-10):
@@ -365,7 +366,7 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
     incidence = sp.csr_matrix((np.ones(flat.size), flat, ptr), shape=(labels.size, n))
     reach = _membership(labels, n_agg) @ incidence
     reach.sort_indices()
-    members = np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])
+    members = _index_sets(reach.indptr, reach.indices.astype(np.int64))
     pos = [dict((int(v), k) for k, v in enumerate(m)) for m in members]
     local_mats = [np.zeros((m.size, m.size)) for m in members]
     for e, (verts, block) in enumerate(assembly.elements):

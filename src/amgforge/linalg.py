@@ -96,6 +96,12 @@ def _index_lists(rows, n, what):
     return ptr, flat
 
 
+def _index_sets(ptr, flat):
+    """The sets of CSR arrays (ptr, flat) as views into ``flat``, set k being
+    flat[ptr[k]:ptr[k + 1]]: the inverse of ``_index_lists``."""
+    return [flat[i:j] for i, j in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
 def _stack_by_size(sizes):
     """Per size k, ascending, the positions of that size in chunks of at most
     _STACK_ROWS: yields (positions, k), and each caller gathers its own stack."""

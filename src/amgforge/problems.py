@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse
+from .linalg import _index_lists
 from .sparse import from_scipy
 
 DIRICHLET = "dirichlet"
@@ -87,7 +88,9 @@ class ElementAssembly:
     coords: np.ndarray = None
 
     def assemble(self):
-        verts = np.array([v for v, _ in self.elements], dtype=np.int64)
+        """A, after the range check of every element's vertices."""
+        _, flat = _index_lists([v for v, _ in self.elements], self.n_vertices, "element")
+        verts = flat.reshape(len(self.elements), -1)
         blocks = np.array([b for _, b in self.elements], dtype=float)
         k = verts.shape[1]
         rows, cols = np.repeat(verts, k, axis=1), np.tile(verts, k)

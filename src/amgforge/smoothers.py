@@ -5,6 +5,7 @@ Every smoother is an immutable object over a fixed matrix A exposing
     apply(b, x, sweeps)  -- run stationary sweeps x <- x + B(b - A x)
     action(g)            -- one application of the iterator, B g
     adjoint()            -- the smoother whose iterator is B^T
+    sparse_inverse()     -- M = B^{-1} as a sparse matrix, or None
 
 Both apply and action take a vector or an (n, k) block and return the same
 shape; a block gives, column for column, what each column alone gives.
@@ -12,6 +13,8 @@ shape; a block gives, column for column, what each column alone gives.
 Point and block Gauss-Seidel, B = (D_B/omega + L_B)^{-1}, solve with one
 sparse LU of the block-lower triangle of A; the adjoint solves with its
 transpose, so B^T is exact for any A and needs no second factorization.
+That triangle is their sparse inverse M, and D/omega is Jacobi's; the
+analysis layer forms the symmetrized smoother's inverse from M.
 """
 
 import copy
@@ -22,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import _index_lists, _refuse_beyond_cap, _stack_by_size
+from .linalg import _index_lists, _index_sets, _refuse_beyond_cap, _stack_by_size
 from .sparse import _masked_indptr
 
 
@@ -37,19 +40,24 @@ def _check_diagonal(a):
     return d
 
 
-def _lower_solver(a, block_of, omega, ordering, panel_size=None):
-    """Sparse LU of the block-lower triangle of A (the a_ij with block_of[i]
-    >= block_of[j]), its diagonal blocks divided by omega.
+def _lower_triangle(a, block_of, omega):
+    """The block-lower triangle of A (the a_ij with block_of[i] >= block_of[j]),
+    its diagonal blocks divided by omega, as a CSC matrix.
 
     The triangle is masked out of A's CSC arrays, whose row indices already
-    ascend within each column."""
+    ascend within each column; it owns its arrays, so nothing done to it
+    reaches A."""
     csc = a.mat.tocsc()
     bi = block_of[csc.indices]
     bj = np.repeat(block_of, np.diff(csc.indptr))
     keep = bi >= bj
     vals = np.where(bi == bj, csc.data / omega, csc.data)
-    t = sp.csc_matrix((vals[keep], csc.indices[keep], _masked_indptr(csc.indptr, keep)),
-                      shape=a.shape)
+    return sp.csc_matrix((vals[keep], csc.indices[keep], _masked_indptr(csc.indptr, keep)),
+                         shape=a.shape)
+
+
+def _lower_solver(t, ordering, panel_size=None):
+    """Sparse LU of a Gauss-Seidel triangle ``t`` (``_lower_triangle``)."""
     try:
         return spla.splu(t, permc_spec=ordering, diag_pivot_thresh=0.0,
                          panel_size=panel_size, options={"SymmetricMode": False})
@@ -72,6 +80,11 @@ class Smoother:
 
     def adjoint(self):
         raise NotImplementedError
+
+    def sparse_inverse(self):
+        """M with B = M^{-1}, as a scipy sparse matrix; None for an iterator
+        with no sparse inverse."""
+        return None
 
     def apply(self, b, x=None, sweeps=1):
         """Iterate x <- x + B(b - A x) on a vector or an (n, k) block b, from
@@ -117,12 +130,16 @@ class Jacobi(Smoother):
     def adjoint(self):
         return self
 
+    def sparse_inverse(self):
+        return sp.diags(self.a.diagonal() / self.omega, format="csr")
+
 
 class GaussSeidel(Smoother):
     """B = (D/omega + L)^{-1}, factored in natural order (a triangle has no
     fill); the adjoint B^T is backward GS when A is symmetric."""
 
     _trans = "N"
+    _block_of = None  # every index its own block; BlockGaussSeidel keeps its blocks
 
     def __init__(self, a, omega=1.0):
         super().__init__(a)
@@ -131,8 +148,7 @@ class GaussSeidel(Smoother):
         _check_diagonal(a)
         self.omega = float(omega)
         # no fill and no reordering, so SuperLU's column panels only cost time
-        self._lu = _lower_solver(a, np.arange(self.n), self.omega, "NATURAL",
-                                 panel_size=1)
+        self._lu = _lower_solver(self.sparse_inverse(), "NATURAL", panel_size=1)
 
     def action(self, g):
         return self._lu.solve(g, trans=self._trans)
@@ -141,6 +157,12 @@ class GaussSeidel(Smoother):
         adj = copy.copy(self)
         adj._trans = "T" if self._trans == "N" else "N"
         return adj
+
+    def sparse_inverse(self):
+        """The triangle D_B/omega + L_B of A, transposed for the adjoint."""
+        block_of = np.arange(self.n) if self._block_of is None else self._block_of
+        t = _lower_triangle(self.a, block_of, self.omega)
+        return t if self._trans == "N" else t.T
 
 
 class SubspaceCorrection(Smoother):
@@ -159,7 +181,7 @@ class SubspaceCorrection(Smoother):
         sizes = np.diff(ptr)
         if not (sizes.all() and np.bincount(flat, minlength=self.n).all()):
             raise ValueError("subspaces must be non-empty and cover every index")
-        self.subspaces = [flat[i:j] for i, j in zip(ptr.tolist(), ptr[1:].tolist())]
+        self.subspaces = _index_sets(ptr, flat)
         self._factors, singular = {}, []
         for pos, k in _stack_by_size(sizes):
             idx = flat[ptr[pos, None] + np.arange(k)]
@@ -201,10 +223,10 @@ class BlockGaussSeidel(GaussSeidel):
         ptr, flat = _index_lists(blocks, self.n, "block")
         if not (np.bincount(flat, minlength=self.n) == 1).all():
             raise ValueError("blocks must be disjoint and cover every index")
-        block_of = np.empty(self.n, dtype=np.int64)
-        block_of[flat] = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        self._block_of = np.empty(self.n, dtype=np.int64)
+        self._block_of[flat] = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
         self.omega = 1.0
-        self._lu = _lower_solver(a, block_of, 1.0, "MMD_AT_PLUS_A")
+        self._lu = _lower_solver(self.sparse_inverse(), "MMD_AT_PLUS_A")
 
     def action(self, g):  # its own, so per-class action counts tell line from point GS
         return self._lu.solve(g, trans=self._trans)

@@ -102,6 +102,12 @@ class TestJumpCoefficient:
         asm = ElementAssembly(3, [((0, 1, 2), block)])
         assert np.array_equal(asm.assemble().toarray(), block)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_vertex_outside_range_names_the_element(self, bad):
+        asm = ElementAssembly(3, [((0, 1, bad), np.eye(3))])
+        with pytest.raises(ValueError, match=rf"^element 0 holds index {bad}, outside \[0, 3\)$"):
+            asm.assemble()
+
 
 class TestSpectrum:
     def test_n2_exact_values(self):

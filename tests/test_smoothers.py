@@ -238,6 +238,30 @@ class TestOneTriangularFactor:
         assert matvecs == []
 
 
+class TestSparseInverse:
+    """M with B = M^{-1}, stated once per smoother class."""
+
+    def test_m_inverts_the_action(self):
+        a = problems.fe_anisotropic(5, 1e-2)
+        rng = np.random.default_rng(5)
+        d = rng.uniform(0.5, 2.0, a.n_rows)
+        a = sparse.from_scipy(sps.diags(d) @ a.mat @ sps.diags(d))
+        gs = GaussSeidel(a, 1.3)
+        for s in (gs, gs.adjoint(), Jacobi(a, 0.7), make_smoother(a, "line-gs"),
+                  BlockGaussSeidel(a, np.array_split(rng.permutation(a.n_rows), 6))):
+            m = s.sparse_inverse()
+            assert sps.issparse(m)
+            assert np.abs(materialize(s.action, a.n_rows) @ m.toarray()
+                          - np.eye(a.n_rows)).max() <= 1e-12
+        assert np.array_equal(gs.adjoint().sparse_inverse().toarray(),
+                              gs.sparse_inverse().toarray().T)
+
+    def test_none_without_one(self):
+        a = problems.laplace_1d(6)
+        for s in (SubspaceCorrection(a, [[0, 1, 2], [2, 3, 4, 5]]), symmetrize(GaussSeidel(a))):
+            assert s.sparse_inverse() is None
+
+
 def coo_route_lu(a, block_of, omega, ordering):
     """SuperLU factor, at SuperLU's default panel size, of the block-lower
     triangle assembled from A's COO triplets."""
