@@ -16,8 +16,7 @@ for eps in (1.0, 1e-2, 1e-4, 1e-6):
     a = problems.fe_anisotropic(31, eps)
     s = strength.strength_matrix(a, theta)
     p = interpolation.standard_interpolation(a, coarsening.mis(s), s)
-    rate = analysis.two_level_error_norm(a, smoothers.GaussSeidel(a), p,
-                                         steps=120, tol=1e-9)
+    rate = analysis.two_level_error_norm(a, smoothers.GaussSeidel(a), p)
     print(f"  eps = {eps:<8g} |E|_A = {rate:.4f}")
 
 print("\ncheckerboard jump problem, exact two-level rate:")
@@ -26,6 +25,5 @@ for eps in (1.0, 1e-3, 1e-6):
     s = strength.strength_matrix(a, theta)
     p = interpolation.standard_interpolation(a, coarsening.mis(s), s)
     rate = analysis.two_level_error_norm(a, smoothers.GaussSeidel(a), p,
-                                         kernel=np.ones((a.n_rows, 1)),
-                                         steps=120, tol=1e-9)
+                                         kernel=np.ones((a.n_rows, 1)))
     print(f"  eps = {eps:<8g} |E|_A = {rate:.4f}")

@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 usage error, 2 nonconvergence or failed setup,
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -23,18 +24,23 @@ EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_INTERNAL = 3
 
+
+def _defaults_of(fn, **params):
+    """Config key -> the default of the named keyword of ``fn``, so the
+    library stays the one owner of that default."""
+    signature = inspect.signature(fn).parameters
+    return {key: signature[name].default for key, name in params.items()}
+
+
 # run-level keys on top of the hierarchy setup keys
 _RUN_DEFAULTS = {
     "kind": "fd5",
     "n": 8,
     "epsilon": 1.0,
     "bc": "dirichlet",
-    "tol": 1e-8,
-    "max_it": 500,
-    "m0": 8,
-    "q": 4,
-    "delta0": 0.7,
-    "rounds": 3,
+    **_defaults_of(hierarchy.pcg_solve, tol="tol", max_it="max_it"),
+    **_defaults_of(adaptive.bootstrap_setup, m0="m0", q="q", delta0="delta0",
+                   rounds="max_rounds"),
     "problem_seed": 0,
 }
 

@@ -227,8 +227,7 @@ def test_10_anisotropy_robustness():
                             strength_ok = False
             split = mis(s)
             p = standard_interpolation(a, split, s)
-            rate = analysis.two_level_error_norm(
-                a, GaussSeidel(a), p, steps=120, tol=1e-9)
+            rate = analysis.two_level_error_norm(a, GaussSeidel(a), p)
             worst_rate = max(worst_rate, rate)
     elapsed = time.perf_counter() - start
     ok = strength_ok and worst_rate <= 0.75 and elapsed < 120.0
@@ -246,8 +245,7 @@ def test_11_jump_robustness():
             split = mis(s)
             p = standard_interpolation(a, split, s)
             rate = analysis.two_level_error_norm(
-                a, GaussSeidel(a), p, kernel=np.ones((a.n_rows, 1)),
-                steps=120, tol=1e-9)
+                a, GaussSeidel(a), p, kernel=np.ones((a.n_rows, 1)))
             worst = max(worst, rate)
     report(11, "jump robustness", worst <= 0.8, f"worst rate {worst:.4f}")
 

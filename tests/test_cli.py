@@ -232,6 +232,23 @@ class TestAnalyze:
             gap = float(row.split(",")[-1])
             assert gap <= 1e-7
 
+    def test_plain_table_matches_csv(self, capsys):
+        args = ["analyze", "--set", "kind=fd5", "--set", "n=4"]
+        assert main(args) == EXIT_OK
+        plain = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                 if ln and not ln.startswith("#")]
+        assert main(args + ["--csv"]) == EXIT_OK
+        csv = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+               if ln and not ln.startswith("#")]
+        assert plain[0] == ["builder", "n", "n_c", "|E|_A^2", "1-1/K", "1-mu", "gap"]
+        assert len(plain) == len(csv) >= 7
+        for row, want in zip(plain[1:], csv[1:]):
+            assert row[:3] == want[:3]
+            # the table prints 8 digits where the csv prints 10, and the gap in 3
+            for got, value in zip(row[3:6], want[3:6]):
+                assert abs(float(got) - float(value)) <= 5e-9
+            assert float(row[6]) == pytest.approx(float(want[6]), rel=1e-2, abs=1e-300)
+
     @staticmethod
     def e_norm_sq(capsys, builder, *sets):
         args = ["analyze", "--csv", "--set", f"interpolation={builder}"]

@@ -340,6 +340,26 @@ class TestPcg:
         assert abs(x.sum()) <= 1e-8 * np.linalg.norm(x)
         assert np.abs(x - x_exact).max() <= 1e-6
 
+    def test_two_column_kernel(self):
+        # two disconnected Neumann chains: the kernel is their two indicators
+        blocks = [problems.laplace_1d(m, "neumann").mat for m in (10, 14)]
+        a = sparse.from_scipy(sps.block_diag(blocks, format="csr"), sparse.SYMMETRIC)
+        kernel = np.zeros((24, 2))
+        kernel[:10, 0] = kernel[10:, 1] = 1.0
+        rng = np.random.default_rng(8)
+        x_exact = hierarchy._kernel_projector(kernel)(rng.standard_normal(24))
+        seen = []
+
+        def record(r):
+            seen.append(np.abs(kernel.T @ r).max() / np.linalg.norm(r))
+            return r.copy()
+
+        x, report = pcg_solve(a, a.mat @ x_exact, record, tol=1e-10, kernel=kernel)
+        assert report.converged
+        assert max(seen) <= 1e-12  # every residual the iteration sees is projected
+        assert np.abs(kernel.T @ x).max() <= 1e-12 * np.linalg.norm(x)
+        assert np.abs(x - x_exact).max() <= 1e-8
+
     def test_semidefinite_direction_flagged(self):
         # unprojected kernel component drives p^T A p to zero
         a = problems.laplace_1d(6, "neumann")

@@ -10,14 +10,14 @@ from amgforge.coarsening import AggregatePartition
 from amgforge.linalg import DENSE_CAP
 
 
-def refuse_dense_eigh_beyond_cap(monkeypatch):
-    """Make ``scipy.linalg.eigh`` fail on any matrix of order > DENSE_CAP, so
-    a test shows its path never forms such a dense eigendecomposition."""
+def refuse_dense_eigh_beyond_cap(monkeypatch, cap=DENSE_CAP):
+    """Make ``scipy.linalg.eigh`` fail on any matrix of order > ``cap``, so a
+    test shows its path never forms such a dense eigendecomposition."""
     eigh = scipy.linalg.eigh
 
     def capped(a, *args, **kwargs):
-        if np.shape(a)[0] > DENSE_CAP:
-            raise AssertionError(f"dense eigh of order {np.shape(a)[0]} > DENSE_CAP")
+        if np.shape(a)[0] > cap:
+            raise AssertionError(f"dense eigh of order {np.shape(a)[0]} > {cap}")
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", capped)
