@@ -38,10 +38,11 @@ print(f"\nanisotropic stencil at eps={eps}:")
 print(an.toarray())
 
 # Jump-coefficient finite element assembly on the checkerboard pattern.
-# The assembly keeps per-element stiffness blocks (used by spectral AMGe),
-# and their zero-extensions sum to the assembled matrix exactly.
+# The assembly keeps the element vertex and stiffness-block arrays (used by
+# spectral AMGe), and the blocks' zero-extensions sum to the assembled matrix
+# exactly.
 jump, assembly = problems.fe_jump_coefficient(4, 1e-3)
 defect = np.abs(assembly.assemble().toarray() - jump.toarray()).max()
-print(f"\njump problem: {jump.n_rows} nodes, {len(assembly.elements)} elements, "
+print(f"\njump problem: {jump.n_rows} nodes, {len(assembly.verts)} elements, "
       f"assembly defect {defect:.1e}")
 print("kernel check (row sums):", np.abs(jump.mat @ np.ones(jump.n_rows)).max())

@@ -282,7 +282,12 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     ``preconditioner`` is a callable g -> Bg (or a Hierarchy, wrapped as a
     V(1,1) cycle).  For singular systems pass the kernel vectors: right-hand
     side and iterates are kept orthogonal to them.  A non-finite ``b`` or
-    ``x0`` raises ValueError before any iteration.
+    ``x0`` raises ValueError before any iteration.  The iteration runs on b
+    and x0 scaled by the power of two that brings max|b| into [0.5, 1), so
+    its residual norms neither overflow nor underflow at any scale of A and
+    b, and an ordinary solve keeps every bit.  A non-finite norm or step, or
+    a direction with r'Br <= 0 or p'Ap <= 0, raises
+    IndefinitePreconditionerError.
     """
     if isinstance(preconditioner, Hierarchy):
         preconditioner = functools.partial(vcycle_apply, preconditioner)
@@ -292,32 +297,45 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if not (np.isfinite(b).all() and np.isfinite(x).all()):
         raise ValueError("right-hand side or initial guess has non-finite entries")
+    scale = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b, x = np.ldexp(b, -scale), np.ldexp(x, -scale)  # exact: a power of two
     proj = (lambda v: v) if kernel is None else _kernel_projector(kernel)
     start = time.perf_counter()
     report = SolveReport()
+
+    def residual_norm(r):
+        norm = float(np.linalg.norm(r))
+        if not np.isfinite(norm):
+            raise IndefinitePreconditionerError(
+                f"residual norm is not finite after {len(report.residuals) - 1} steps")
+        report.residuals.append(float(np.ldexp(norm, scale)))
+        return norm
+
     b, x = proj(b), proj(x)
     r = b - a @ x
     b_norm = float(np.linalg.norm(b))
-    report.residuals.append(float(np.linalg.norm(r)))
+    residual_norm(r)
     report.converged = b_norm == 0.0
     p = None
     while not report.converged and len(report.residuals) <= max_it:
         z = proj(preconditioner(r))
         rz_new = float(r @ z)
+        if not 0.0 < rz_new < np.inf:
+            raise IndefinitePreconditionerError(
+                f"r'Br = {rz_new:.3g}: preconditioner is not positive definite")
         # the first direction copies z: an identity preconditioner returns
         # r itself, which is updated in place below
         p = z.copy() if p is None else z + (rz_new / rz) * p
         rz = rz_new
         ap = a @ p
         pap = float(p @ ap)
-        if pap <= 0.0:
+        if not 0.0 < pap < np.inf:
             raise IndefinitePreconditionerError(
                 "non-descent direction: preconditioned operator is indefinite")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         r = proj(r)
-        report.residuals.append(float(np.linalg.norm(r)))
-        report.converged = report.residuals[-1] <= tol * b_norm
+        report.converged = residual_norm(r) <= tol * b_norm
     report.wall_time = time.perf_counter() - start
-    return x, report.finalize()
+    return np.ldexp(x, scale), report.finalize()

@@ -21,7 +21,12 @@ _LU_ORDER = 256
 # An LU pivot of at most this times the order times the largest marks a
 # singular matrix, whose smallest pivot reads near 0.15 n eps.
 _SINGULAR_PIVOT = 100 * np.finfo(float).eps
-_STACK_ROWS = 1024  # positions per stack in _stack_by_size, which bounds a stacked solve's arrays
+# A stack of _stack_by_size holds at most _STACK_ROWS positions and at most
+# _STACK_ENTRIES entries of their k x k blocks, which bounds a stacked solve's
+# arrays: fd5 256^2 energy-min subspaces (k = 15, 444 rows a stack) trace
+# 28.0 MB in SubspaceCorrection, against 33.2 MB at 1024 rows a stack.
+_STACK_ROWS = 1024
+_STACK_ENTRIES = 100_000
 
 
 def _refuse_beyond_cap(n, what):
@@ -42,7 +47,8 @@ class SymPseudoInverse:
     Otherwise the pseudo-inverse from a dense eigendecomposition of the
     symmetric part, eigenvalues below ``1e-12 * lambda_max`` treated as exact
     zeros; a singular matrix beyond ``DENSE_CAP`` is refused instead, by a
-    ValueError that names ``a``.  Coarsest-level solves, coarse corrections
+    ValueError that names ``a``, and so is a kept eigenvalue whose inverse
+    overflows.  Coarsest-level solves, coarse corrections
     and the analysis oracles all solve here, so they agree on what
     "singular" means.
     """
@@ -72,6 +78,9 @@ class SymPseudoInverse:
         w, self._v = scipy.linalg.eigh(sym.toarray() if sp.issparse(sym) else sym)
         lam_max = max(abs(w[0]), abs(w[-1]), 1.0e-300)
         keep = w > 1e-12 * lam_max
+        if keep.any() and w[keep].min() < 1.0 / np.finfo(float).max:
+            raise ValueError(f"{name} has an eigenvalue {w[keep].min():.1e} "
+                             "whose inverse overflows")
         self._inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
 
     def solve(self, b):
@@ -91,14 +100,20 @@ def _columns(x):
 def _index_lists(rows, n, what):
     """Local index sets (fit rows, supports, subspaces, blocks, elements) as CSR
     arrays (ptr, flat), set k being flat[ptr[k]:ptr[k + 1]]; the first set holding
-    an index outside [0, n) is refused by a ValueError naming it as ``what`` k."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ptr = np.concatenate([[0], np.cumsum(lens)])
-    # concatenate is 7x faster than fromiter on arrays, and fromiter 3x faster on lists
-    if len(rows) and isinstance(rows[0], np.ndarray):
-        flat = np.concatenate(rows).astype(np.int64, copy=False)
+    an index outside [0, n) is refused by a ValueError naming it as ``what`` k.
+    A rectangular array holds one set per row, all of one width."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        ptr = np.arange(rows.shape[0] + 1) * rows.shape[1]
+        flat = rows.astype(np.int64, copy=False).ravel()
     else:
-        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=ptr[-1])
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        ptr = np.concatenate([[0], np.cumsum(lens)])
+        # concatenate is 7x faster than fromiter on arrays, and fromiter 3x faster on lists
+        if len(rows) and isinstance(rows[0], np.ndarray):
+            flat = np.concatenate(rows).astype(np.int64, copy=False)
+        else:
+            flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                               count=ptr[-1])
     bad = np.flatnonzero((flat < 0) | (flat >= n))
     if bad.size:
         k = np.searchsorted(ptr, bad[0], side="right") - 1
@@ -114,8 +129,11 @@ def _index_sets(ptr, flat):
 
 def _stack_by_size(sizes):
     """Per size k, ascending, the positions of that size in chunks of at most
-    _STACK_ROWS: yields (positions, k), and each caller gathers its own stack."""
+    _STACK_ROWS positions and _STACK_ENTRIES block entries (rows * k^2), and at
+    least one position: yields (positions, k), and each caller gathers its own
+    stack."""
     for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
-        for pos in np.split(same, range(_STACK_ROWS, same.size, _STACK_ROWS)):
+        rows = max(1, min(_STACK_ROWS, _STACK_ENTRIES // max(int(k) ** 2, 1)))
+        for pos in np.split(same, range(rows, same.size, rows)):
             yield pos, k

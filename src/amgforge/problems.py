@@ -76,25 +76,35 @@ def fd_poisson_9pt(n):
     return from_scipy(9.0 * sp.identity(n * n) - sp.kron(j, j), sparse.SYMMETRIC)
 
 
-@dataclass
+@dataclass(eq=False)
 class ElementAssembly:
-    """Per-element stiffness blocks whose zero-extensions sum to A.
-
-    Every element has the same number of vertices (all are triangles here).
+    """Per-element stiffness blocks whose zero-extensions sum to A, as two
+    arrays: ``verts`` (E x k vertex indices, int64) and ``blocks`` (E x k x k
+    local matrices, float64), row e of each describing element e.  Every
+    element has the same number k of vertices (all are triangles here).
     """
 
     n_vertices: int
-    elements: list  # (vertex index tuple, dense local block)
+    verts: np.ndarray
+    blocks: np.ndarray
     coords: np.ndarray = None
+
+    def __post_init__(self):
+        self.verts = np.asarray(self.verts, dtype=np.int64)
+        self.blocks = np.asarray(self.blocks, dtype=float)
+        e, k = self.verts.shape
+        if self.blocks.shape != (e, k, k):
+            raise ValueError(f"blocks of shape {self.blocks.shape} do not match "
+                             f"{e} elements of {k} vertices")
 
     def assemble(self):
         """A, after the range check of every element's vertices."""
-        _, flat = _index_lists([v for v, _ in self.elements], self.n_vertices, "element")
-        verts = flat.reshape(len(self.elements), -1)
-        blocks = np.array([b for _, b in self.elements], dtype=float)
-        k = verts.shape[1]
-        rows, cols = np.repeat(verts, k, axis=1), np.tile(verts, k)
-        coo = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+        _index_lists(self.verts, self.n_vertices, "element")
+        k = self.verts.shape[1]
+        # entry (e, i, j) at (verts[e, i], verts[e, j]); the int64 row and
+        # column arrays are freed once the COO matrix holds its own
+        coo = sp.coo_matrix((self.blocks.ravel(), (np.repeat(self.verts, k, axis=1).ravel(),
+                                                   np.tile(self.verts, k).ravel())),
                             shape=(self.n_vertices, self.n_vertices))
         return from_scipy(coo, sparse.SYMMETRIC)
 
@@ -127,7 +137,8 @@ def fe_jump_coefficient(n, epsilon):
     the coefficient is 1 everywhere.  Elements whose barycenter lies in the
     ``checkerboard`` region get coefficient epsilon.
 
-    Returns (matrix, assembly); the assembly carries per-element blocks.
+    Returns (matrix, assembly); the assembly carries the element vertex and
+    block arrays.
     """
     if n < 1 or epsilon <= 0:
         raise ValueError("need n >= 1 and epsilon > 0")
@@ -142,8 +153,7 @@ def fe_jump_coefficient(n, epsilon):
     pts = coords[tris]
     bary = pts.mean(axis=1)
     coeff = np.where(checkerboard(bary[:, 0], bary[:, 1]), epsilon, 1.0)
-    elements = list(zip(map(tuple, tris.tolist()), _triangle_stiffness(pts, coeff)))
-    assembly = ElementAssembly(m * m, elements, coords)
+    assembly = ElementAssembly(m * m, tris, _triangle_stiffness(pts, coeff), coords)
     return assembly.assemble(), assembly
 
 

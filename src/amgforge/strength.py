@@ -100,6 +100,11 @@ def _pairwise_values(a, variant):
     CSR order."""
     start, rows, cols, vals = _off_diagonal(a)
     diag = a.diagonal()
+    # every measure is scale-free, so A is read at the power of two that puts
+    # max|a_ii| in [0.5, 1): exact, and then no product of two entries
+    # overflows or underflows at any scale of A
+    scale = -np.frexp(np.abs(diag).max(initial=0.0))[1]
+    vals, diag = np.ldexp(vals, scale), np.ldexp(diag, scale)
     if variant == "classical_sym":
         # pairs with a_ij > 0 are ignored (value 0); the symmetrization keeps
         # an edge only when both endpoints see it as strong, so the larger

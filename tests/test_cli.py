@@ -97,6 +97,21 @@ class TestSolve:
             iterations.append(last.split()[0])
         assert iterations[0] == iterations[1]
 
+    def test_scaled_matrix_takes_the_unscaled_iterations(self, tmp_path, capsys):
+        # at 2^996 (about 1e300) the residual norms no longer overflow: the
+        # solve takes the unscaled iterations, not one step to "converged"
+        a = problems.fd_poisson_5pt(12)
+        summaries = []
+        for k in (0, 996):
+            path = tmp_path / f"a{k}.mtx"
+            io_mm.write_matrix_market(path, sparse.from_scipy(a.mat * 2.0**k, sparse.SYMMETRIC))
+            code = main(["solve", "--matrix", str(path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, captured.err
+            summaries.append(captured.out.splitlines()[-1].split()[:3])
+        assert summaries[0] == summaries[1]
+        assert summaries[1][1] == "converged=True"
+
     def test_singular_system_auto_kernel(self, tmp_path, capsys):
         out = tmp_path / "n.mtx"
         main(["generate", "--set", "kind=fd5", "--set", "n=6", "--set", "bc=neumann",

@@ -9,6 +9,7 @@ from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
                                 Level, SetupConfig, SetupError, pcg_solve,
                                 setup, vcycle_apply)
 from amgforge.interpolation import verify_full_rank
+from amgforge.linalg import SymPseudoInverse
 
 from test_analysis import MODEL_FAMILIES
 from tests_support import (elasticity_like, point_block_partition,
@@ -222,11 +223,19 @@ class TestVCycle:
         assert abs(measured - e_rate) <= 2e-3
 
 
+def test_pseudo_inverse_refuses_an_inverse_that_overflows():
+    with pytest.raises(ValueError, match="^coarsest matrix has an eigenvalue 1.0e-309 "
+                                         "whose inverse overflows$"):
+        SymPseudoInverse(np.diag([1e-300, 1e-309]), "coarsest matrix")
+
+
+VCYCLE_CONFIGS = [{}, {"coarsening": "pairwise", "interpolation": "ua"},
+                  {"coarsening": "aggregate", "interpolation": "sa"}]
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(MODEL_FAMILIES), st.integers(3, 18), st.floats(1e-6, 1.0),
-       st.sampled_from([{}, {"coarsening": "pairwise", "interpolation": "ua"},
-                        {"coarsening": "aggregate", "interpolation": "sa"}]),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from(VCYCLE_CONFIGS), st.integers(0, 2**32 - 1))
 def test_vcycle_spd_and_galerkin_bit_symmetric(family, n, eps, config, seed):
     # the V(1,1) operator B is symmetric and positive on random probes, and
     # every coarse operator P^T A P is exactly symmetric
@@ -238,6 +247,27 @@ def test_vcycle_spd_and_galerkin_bit_symmetric(family, n, eps, config, seed):
     m = x.T @ vcycle_apply(h, x)
     assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
     assert (np.diag(m) > 0.0).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(MODEL_FAMILIES), st.integers(3, 18), st.floats(1e-6, 1.0),
+       st.sampled_from(VCYCLE_CONFIGS), st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+def test_pcg_at_any_power_of_two_scale(family, n, eps, config, k, seed):
+    # (A 2^k, b 2^k) takes the unscaled iteration count to the unscaled
+    # solution, or fails by name: residual norms neither overflow nor underflow
+    a = problems.build(problems.ProblemSpec(family[0], n, eps, family[1]))
+    kernel = np.ones((a.n_rows, 1)) if family[1] == "neumann" else None
+    b = a.mat @ np.random.default_rng(seed).standard_normal(a.n_rows)
+    x, report = pcg_solve(a, b, setup(a, config), kernel=kernel)
+    scaled = a.mat.copy()
+    scaled.data = np.ldexp(scaled.data, k)
+    scaled = sparse.from_scipy(scaled, sparse.SYMMETRIC)
+    try:
+        xk, report_k = pcg_solve(scaled, np.ldexp(b, k), setup(scaled, config), kernel=kernel)
+    except (SetupError, IndefinitePreconditionerError):
+        return
+    assert report_k.iterations == report.iterations
+    assert np.linalg.norm(xk - x) <= 1e-6 * np.linalg.norm(x)
 
 
 @settings(max_examples=8, deadline=None)

@@ -22,7 +22,7 @@ from amgforge.interpolation import (InterpolationError, SupportSet,
 from amgforge.linalg import DENSE_CAP
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
 
-from tests_support import harmonic_test_vertices
+from tests_support import harmonic_test_vertices, spectral_amge_reference
 
 EVEN_SPLIT_5 = CFSplitting(np.array([False, True, False, True, False]))
 
@@ -418,11 +418,13 @@ class TestVectorPreserving:
 
 class TestSpectralAmge:
     def element_labels_by_quadrant(self, assembly):
-        labels = []
-        for verts, _ in assembly.elements:
-            bary = assembly.coords[list(verts)].mean(axis=0)
-            labels.append(int(bary[0] > 0.5) + 2 * int(bary[1] > 0.5))
-        return np.array(labels)
+        bary = assembly.coords[assembly.verts].mean(axis=1)
+        return (bary[:, 0] > 0.5).astype(np.int64) + 2 * (bary[:, 1] > 0.5)
+
+    def element_labels_by_patch(self, assembly):
+        # the 10 x 10 patches of the unit square
+        patch = np.minimum((assembly.coords[assembly.verts].mean(axis=1) * 10).astype(int), 9)
+        return patch[:, 0] + 10 * patch[:, 1]
 
     def test_constants_reproduced(self):
         a, asm = problems.fe_jump_coefficient(4, 1e-3)
@@ -435,7 +437,7 @@ class TestSpectralAmge:
         from amgforge import analysis
 
         a, asm = problems.fe_jump_coefficient(1, 1.0)
-        labels = np.zeros(len(asm.elements), dtype=np.int64)
+        labels = np.zeros(len(asm.verts), dtype=np.int64)
         p = spectral_amge_coarse_space(asm, labels, a.n_rows)
         gs = smoothers.GaussSeidel(a)
         rate = analysis.two_level_error_norm(a, gs, p,
@@ -450,14 +452,11 @@ class TestSpectralAmge:
             _, asm = problems.fe_jump_coefficient(4, eps)
             labels = self.element_labels_by_quadrant(asm)
             for j in range(4):
-                verts = sorted({int(v) for e in np.flatnonzero(labels == j)
-                                for v in asm.elements[e][0]})
+                verts = np.unique(asm.verts[labels == j])
                 local = np.zeros((len(verts), len(verts)))
-                pos = {v: k for k, v in enumerate(verts)}
                 for e in np.flatnonzero(labels == j):
-                    vv, blk = asm.elements[e]
-                    loc = [pos[int(x)] for x in vv]
-                    local[np.ix_(loc, loc)] += blk
+                    loc = np.searchsorted(verts, asm.verts[e])
+                    local[np.ix_(loc, loc)] += asm.blocks[e]
                 lam = scipy.linalg.eigh(local, np.diag(np.diag(local)),
                                         eigvals_only=True)
                 mus.append(lam[1])
@@ -467,20 +466,30 @@ class TestSpectralAmge:
     def test_no_dense_basis(self):
         # a dense basis here is 1764 x 400 doubles (5.6 MB)
         _, asm = problems.fe_jump_coefficient(40, 1e-6)
-        bary = np.array([asm.coords[list(v)].mean(axis=0) for v, _ in asm.elements])
-        patch = np.minimum((bary * 10).astype(int), 9)
+        labels = self.element_labels_by_patch(asm)
         tracemalloc.start()
         try:
-            p = spectral_amge_coarse_space(asm, patch[:, 0] + 10 * patch[:, 1], 4)
+            p = spectral_amge_coarse_space(asm, labels, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert p.matrix.shape == (1764, 400)
         assert peak <= 3e6
 
+    @pytest.mark.parametrize("n, eps, by, m_pers", [(4, 1e-3, "quadrant", (1, 2)),
+                                                   (40, 1e-6, "patch", (4,))])
+    def test_matches_the_element_loop_bitwise(self, n, eps, by, m_pers):
+        # the local matrices are summed by one scatter in element order, so
+        # they and every eigenvector equal those of the per-element loop
+        _, asm = problems.fe_jump_coefficient(n, eps)
+        labels = getattr(self, f"element_labels_by_{by}")(asm)
+        for m_per in m_pers:
+            p = spectral_amge_coarse_space(asm, labels, m_per)
+            assert np.array_equal(p.toarray(), spectral_amge_reference(asm, labels, m_per))
+
     def test_m_per_too_large(self):
         _, asm = problems.fe_jump_coefficient(1, 1.0)
-        labels = np.zeros(len(asm.elements), dtype=np.int64)
+        labels = np.zeros(len(asm.verts), dtype=np.int64)
         with pytest.raises(ValueError, match="m_per"):
             spectral_amge_coarse_space(asm, labels, 100)
 

@@ -154,11 +154,9 @@ def obtuse_pair_assembly():
     edge is obtuse, so the stiffness matrix picks up a positive
     off-diagonal entry."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.2], [0.5, -0.2]])
-    elements = []
-    for tri in ((0, 1, 2), (0, 3, 1)):
-        pts = coords[list(tri)]
-        elements.append((tri, problems._triangle_stiffness(pts, 1.0)))
-    return problems.ElementAssembly(4, elements, coords)
+    tris = np.array([(0, 1, 2), (0, 3, 1)])
+    return problems.ElementAssembly(4, tris, problems._triangle_stiffness(coords[tris], 1.0),
+                                    coords)
 
 
 class TestMMatrixRelative:

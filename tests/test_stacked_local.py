@@ -13,6 +13,7 @@ from amgforge import coarsening, problems, sparse
 from amgforge.adaptive import bootstrap_setup, ls_fit_prolongation
 from amgforge.interpolation import (SupportSet, energy_min_prolongation,
                                     spectral_amge_coarse_space, supports_from_aggregates)
+from amgforge.linalg import _stack_by_size
 from amgforge.problems import ElementAssembly
 from amgforge.smoothers import BlockGaussSeidel, SingularSmootherError, SubspaceCorrection
 from amgforge.strength import StrengthConfig, strength_matrix
@@ -171,8 +172,10 @@ _BUILD_FROM = {  # each local index set's constructor, over index range [0, 4)
     "support": lambda lists: SupportSet(tuple(map(np.array, lists))).validate(4),
     "subspace": lambda lists: SubspaceCorrection(_FOUR, lists),
     "block": lambda lists: BlockGaussSeidel(_FOUR, lists),
+    # elements all have one width: each list repeated to two vertices
     "element": lambda lists: spectral_amge_coarse_space(
-        ElementAssembly(4, [(v, np.eye(len(v))) for v in lists]), np.zeros(3, dtype=int), 1),
+        ElementAssembly(4, [(v * 2)[:2] for v in lists], np.tile(np.eye(2), (len(lists), 1, 1))),
+        np.zeros(3, dtype=int), 1),
 }
 
 
@@ -183,3 +186,15 @@ def test_index_outside_range_refused_by_name(what, bad):
     # first list holding an index outside [0, 4); a negative one never wraps
     with pytest.raises(ValueError, match=rf"^{what} 2 holds index {bad}, outside \[0, 4\)$"):
         _BUILD_FROM[what]([[0, 1], [2, 3], [bad]])
+
+
+def test_stacks_are_bounded_by_block_entries():
+    # a stack holds at most 1,024 positions and 1e5 entries of its k x k
+    # blocks, and at least one position: 1,024 rows of size 8, 444 of size 15
+    # (1e5 // 225) and one of size 400
+    sizes = np.array([15] * 1000 + [8] * 3000 + [400] * 2)
+    chunks = [(k, pos.size) for pos, k in _stack_by_size(sizes)]
+    assert chunks == [(8, 1024), (8, 1024), (8, 952), (15, 444), (15, 444), (15, 112),
+                      (400, 1), (400, 1)]
+    got = np.concatenate([pos for pos, _ in _stack_by_size(sizes)])
+    assert np.array_equal(np.sort(got), np.arange(sizes.size))
