@@ -282,12 +282,15 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     ``preconditioner`` is a callable g -> Bg (or a Hierarchy, wrapped as a
     V(1,1) cycle).  For singular systems pass the kernel vectors: right-hand
     side and iterates are kept orthogonal to them.  A non-finite ``b`` or
-    ``x0`` raises ValueError before any iteration.  The iteration runs on b
-    and x0 scaled by the power of two that brings max|b| into [0.5, 1), so
-    its residual norms neither overflow nor underflow at any scale of A and
-    b, and an ordinary solve keeps every bit.  A non-finite norm or step, or
-    a direction with r'Br <= 0 or p'Ap <= 0, raises
-    IndefinitePreconditionerError.
+    ``x0`` raises ValueError before any iteration, and so does an initial
+    residual whose norm overflows.  The iteration runs on b and x0 scaled by
+    the power of two that brings max|b| into [0.5, 1).  From the second
+    direction on, the preconditioner reads r scaled by one power of two,
+    half its first output's gain, so that with A of any scale 2^k neither its
+    own values nor r'Br and p'Ap carry more than 2^(k/2).  Powers of two
+    are exact and B is linear, so an ordinary solve keeps every bit.  A
+    non-finite norm or step, or a direction with r'Br <= 0 or p'Ap <= 0,
+    raises IndefinitePreconditionerError.
     """
     if isinstance(preconditioner, Hierarchy):
         preconditioner = functools.partial(vcycle_apply, preconditioner)
@@ -304,28 +307,36 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     report = SolveReport()
 
     def residual_norm(r):
-        norm = float(np.linalg.norm(r))
+        with np.errstate(over="ignore"):  # an overflow is refused by name below
+            norm = float(np.linalg.norm(r))
+        if not np.isfinite(norm) and not report.residuals:
+            raise ValueError("initial residual b - A x0 has a norm that overflows")
         if not np.isfinite(norm):
             raise IndefinitePreconditionerError(
                 f"residual norm is not finite after {len(report.residuals) - 1} steps")
         report.residuals.append(float(np.ldexp(norm, scale)))
         return norm
 
+    def exponent(v):
+        return int(np.frexp(np.abs(v).max(initial=0.0))[1])
+
     b, x = proj(b), proj(x)
     r = b - a @ x
     b_norm = float(np.linalg.norm(b))
     residual_norm(r)
     report.converged = b_norm == 0.0
-    p = None
+    p, shift = None, 0
     while not report.converged and len(report.residuals) <= max_it:
-        z = proj(preconditioner(r))
+        # z = 2^shift B r: B reads r 2^shift, exact for a linear B
+        z = proj(preconditioner(np.ldexp(r, shift) if shift else r))
+        if p is None:
+            shift = (exponent(r) - exponent(z)) // 2
+            z = np.ldexp(z, shift)  # a new array: an identity B returns r itself
         rz_new = float(r @ z)
         if not 0.0 < rz_new < np.inf:
             raise IndefinitePreconditionerError(
                 f"r'Br = {rz_new:.3g}: preconditioner is not positive definite")
-        # the first direction copies z: an identity preconditioner returns
-        # r itself, which is updated in place below
-        p = z.copy() if p is None else z + (rz_new / rz) * p
+        p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         ap = a @ p
         pap = float(p @ ap)

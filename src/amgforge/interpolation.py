@@ -353,8 +353,7 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
     if m_per < 1:
         raise ValueError("m_per must be >= 1")
     labels = np.asarray(getattr(element_labels, "labels", element_labels), dtype=np.int64)
-    verts, blocks = assembly.verts, assembly.blocks
-    if labels.size != verts.shape[0]:
+    if labels.size != assembly.verts.shape[0]:
         raise ValueError("element_labels must assign every element to an agglomerate")
     n_agg, n = int(labels.max()) + 1, assembly.n_vertices
     global_diag = assembly.assemble().diagonal()  # range-checks the vertices first
@@ -363,25 +362,17 @@ def spectral_amge_coarse_space(assembly, element_labels, m_per):
         raise ValueError(f"agglomerate {empty[0]} owns no elements")
     # agglomerate j's vertices, ascending: row j of (agglomerate x element) @
     # (element x vertex) incidence, one sparse product in O(n + elements)
-    k = verts.shape[1]
-    incidence = sp.csr_matrix((np.ones(verts.size), verts.ravel(),
+    k = assembly.verts.shape[1]
+    incidence = sp.csr_matrix((np.ones(assembly.verts.size), assembly.verts.ravel(),
                                np.arange(labels.size + 1) * k), shape=(labels.size, n))
     reach = _membership(labels, n_agg) @ incidence
     reach.sort_indices()
     members = _index_sets(reach.indptr, reach.indices.astype(np.int64))
-    # each element's local positions in its owner: the keys j * n + v of reach
-    # ascend, so one search finds every (owner, vertex) pair
-    sizes = np.diff(reach.indptr)
-    keys = np.repeat(np.arange(n_agg, dtype=np.int64) * n, sizes) + reach.indices
-    loc = np.searchsorted(keys, labels[:, None] * n + verts) - reach.indptr[labels][:, None]
-    # the local matrices back to back, agglomerate j's size_j^2 entries at
-    # offset[j]; bincount adds the blocks entry by entry in element order
-    offset = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    target = (offset[labels][:, None, None] + sizes[labels][:, None, None] * loc[:, :, None]
-              + loc[:, None, :])
-    flat_mats = np.bincount(target.ravel(), weights=blocks.ravel(), minlength=offset[-1])
-    local_mats = [flat_mats[i:j].reshape(m, m)
-                  for i, j, m in zip(offset[:-1].tolist(), offset[1:].tolist(), sizes.tolist())]
+    pos = [dict((int(v), k) for k, v in enumerate(m)) for m in members]
+    local_mats = [np.zeros((m.size, m.size)) for m in members]
+    for owner, verts, block in zip(labels, assembly.verts, assembly.blocks):
+        loc = [pos[owner][int(v)] for v in verts]
+        local_mats[owner][np.ix_(loc, loc)] += block
     pou_sum = np.zeros(n)
     cols = []  # per agglomerate, its m_per columns restricted to its vertices
     for j in range(n_agg):

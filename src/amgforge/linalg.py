@@ -24,7 +24,11 @@ _SINGULAR_PIVOT = 100 * np.finfo(float).eps
 # A stack of _stack_by_size holds at most _STACK_ROWS positions and at most
 # _STACK_ENTRIES entries of their k x k blocks, which bounds a stacked solve's
 # arrays: fd5 256^2 energy-min subspaces (k = 15, 444 rows a stack) trace
-# 28.0 MB in SubspaceCorrection, against 33.2 MB at 1024 rows a stack.
+# 28.0 MB in SubspaceCorrection, against 33.2 MB at 1024 rows a stack.  The
+# row cap holds for small k, where a stack's arrays grow with rows * k * m
+# rather than rows * k^2: the least-squares fit's basis carries m test
+# vectors a row, and without the cap the fe_jump 62 bootstrap setup traces
+# 6.9 MB against 4.6 MB.
 _STACK_ROWS = 1024
 _STACK_ENTRIES = 100_000
 

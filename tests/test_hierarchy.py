@@ -254,7 +254,10 @@ def test_vcycle_spd_and_galerkin_bit_symmetric(family, n, eps, config, seed):
        st.sampled_from(VCYCLE_CONFIGS), st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
 def test_pcg_at_any_power_of_two_scale(family, n, eps, config, k, seed):
     # (A 2^k, b 2^k) takes the unscaled iteration count to the unscaled
-    # solution, or fails by name: residual norms neither overflow nor underflow
+    # solution: neither the residual norms nor r'Br, p'Ap and the V-cycle's
+    # values overflow or underflow.  For |k| <= 960 the solve must converge;
+    # beyond it the setup may refuse by name a coarsest eigenvalue whose
+    # inverse overflows (fe_jump 18, eps = 1e-6, SA at 2^-1000 reads 6.4e-310)
     a = problems.build(problems.ProblemSpec(family[0], n, eps, family[1]))
     kernel = np.ones((a.n_rows, 1)) if family[1] == "neumann" else None
     b = a.mat @ np.random.default_rng(seed).standard_normal(a.n_rows)
@@ -265,9 +268,24 @@ def test_pcg_at_any_power_of_two_scale(family, n, eps, config, k, seed):
     try:
         xk, report_k = pcg_solve(scaled, np.ldexp(b, k), setup(scaled, config), kernel=kernel)
     except (SetupError, IndefinitePreconditionerError):
+        if abs(k) <= 960:
+            raise
         return
     assert report_k.iterations == report.iterations
     assert np.linalg.norm(xk - x) <= 1e-6 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_pcg_at_the_scale_extremes_to_a_tight_tolerance(k):
+    # at tol 1e-13 the residual falls to about 2^-43: r'Br and p'Ap would
+    # read 2^-k |r|^2 unshifted, zero at k = 1000, but read |r|^2 here
+    a = problems.fd_poisson_5pt(16)
+    b = a.mat @ np.random.default_rng(3).standard_normal(a.n_rows)
+    x, report = pcg_solve(a, b, setup(a), tol=1e-13)
+    scaled = sparse.from_scipy(a.mat * 2.0**k, sparse.SYMMETRIC)
+    xk, report_k = pcg_solve(scaled, np.ldexp(b, k), setup(scaled), tol=1e-13)
+    assert report_k.iterations == report.iterations
+    assert np.linalg.norm(xk - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @settings(max_examples=8, deadline=None)
@@ -404,6 +422,12 @@ class TestPcg:
             pcg_solve(a, b)
         with pytest.raises(ValueError, match="non-finite"):
             pcg_solve(a, np.ones(6), x0=np.full(6, np.inf))
+
+    def test_initial_residual_that_overflows_rejected(self):
+        # the initial guess is refused before any preconditioner runs
+        a = problems.laplace_1d(6)
+        with pytest.raises(ValueError, match="^initial residual b - A x0 has a norm that overflows$"):
+            pcg_solve(a, np.zeros(6), x0=np.full(6, 1e300))
 
     def test_report_fields(self):
         a = problems.laplace_1d(12)

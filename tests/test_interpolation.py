@@ -22,7 +22,7 @@ from amgforge.interpolation import (InterpolationError, SupportSet,
 from amgforge.linalg import DENSE_CAP
 from amgforge.strength import StrengthConfig, full_strength, strength_matrix
 
-from tests_support import harmonic_test_vertices, spectral_amge_reference
+from tests_support import harmonic_test_vertices
 
 EVEN_SPLIT_5 = CFSplitting(np.array([False, True, False, True, False]))
 
@@ -475,17 +475,6 @@ class TestSpectralAmge:
             tracemalloc.stop()
         assert p.matrix.shape == (1764, 400)
         assert peak <= 3e6
-
-    @pytest.mark.parametrize("n, eps, by, m_pers", [(4, 1e-3, "quadrant", (1, 2)),
-                                                   (40, 1e-6, "patch", (4,))])
-    def test_matches_the_element_loop_bitwise(self, n, eps, by, m_pers):
-        # the local matrices are summed by one scatter in element order, so
-        # they and every eigenvector equal those of the per-element loop
-        _, asm = problems.fe_jump_coefficient(n, eps)
-        labels = getattr(self, f"element_labels_by_{by}")(asm)
-        for m_per in m_pers:
-            p = spectral_amge_coarse_space(asm, labels, m_per)
-            assert np.array_equal(p.toarray(), spectral_amge_reference(asm, labels, m_per))
 
     def test_m_per_too_large(self):
         _, asm = problems.fe_jump_coefficient(1, 1.0)

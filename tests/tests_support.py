@@ -103,24 +103,3 @@ def harmonic_test_vertices(supports, graph, n):
             signature[v].add(k)
     return [p for p in range(n)
             if all(signature[q] <= signature[p] for q in graph.neighbors(p))]
-
-
-def spectral_amge_reference(assembly, labels, m_per):
-    """``spectral_amge_coarse_space`` as a loop: each agglomerate's local
-    matrix summed element by element, then its ``m_per`` lowest generalized
-    eigenvectors against its own diagonal, weighted by the diagonal
-    partition of unity and stacked as P's columns."""
-    n, n_agg = assembly.n_vertices, int(labels.max()) + 1
-    global_diag = assembly.assemble().diagonal()
-    members = [np.unique(assembly.verts[labels == j]) for j in range(n_agg)]
-    pos = [{int(v): k for k, v in enumerate(m)} for m in members]
-    local = [np.zeros((m.size, m.size)) for m in members]
-    for e, (verts, block) in enumerate(zip(assembly.verts, assembly.blocks)):
-        loc = [pos[labels[e]][int(v)] for v in verts]
-        local[labels[e]][np.ix_(loc, loc)] += block
-    p = np.zeros((n, n_agg * m_per))
-    for j, (m, a_j) in enumerate(zip(members, local)):
-        _, vecs = scipy.linalg.eigh(a_j, np.diag(np.diag(a_j)))
-        p[np.ix_(m, range(j * m_per, (j + 1) * m_per))] = (
-            (np.diag(a_j) / global_diag[m])[:, None] * vecs[:, :m_per])
-    return p
