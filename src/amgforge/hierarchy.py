@@ -283,7 +283,8 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     V(1,1) cycle).  For singular systems pass the kernel vectors: right-hand
     side and iterates are kept orthogonal to them.  A non-finite ``b`` or
     ``x0`` raises ValueError before any iteration, and so does an initial
-    residual whose norm overflows.  The iteration runs on b and x0 scaled by
+    residual whose norm overflows; an initial guess that already meets
+    ``tol`` is returned unchanged.  The iteration runs on b and x0 scaled by
     the power of two that brings max|b| into [0.5, 1).  From the second
     direction on, the preconditioner reads r scaled by one power of two,
     half its first output's gain, so that with A of any scale 2^k neither its
@@ -300,7 +301,11 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if not (np.isfinite(b).all() and np.isfinite(x).all()):
         raise ValueError("right-hand side or initial guess has non-finite entries")
-    scale = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+
+    def exponent(v):
+        return int(np.frexp(np.abs(v).max(initial=0.0))[1])
+
+    scale = exponent(b)
     b, x = np.ldexp(b, -scale), np.ldexp(x, -scale)  # exact: a power of two
     proj = (lambda v: v) if kernel is None else _kernel_projector(kernel)
     start = time.perf_counter()
@@ -317,14 +322,10 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
         report.residuals.append(float(np.ldexp(norm, scale)))
         return norm
 
-    def exponent(v):
-        return int(np.frexp(np.abs(v).max(initial=0.0))[1])
-
     b, x = proj(b), proj(x)
     r = b - a @ x
     b_norm = float(np.linalg.norm(b))
-    residual_norm(r)
-    report.converged = b_norm == 0.0
+    report.converged = residual_norm(r) <= tol * b_norm or b_norm == 0.0
     p, shift = None, 0
     while not report.converged and len(report.residuals) <= max_it:
         # z = 2^shift B r: B reads r 2^shift, exact for a linear B

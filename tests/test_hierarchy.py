@@ -423,6 +423,13 @@ class TestPcg:
         with pytest.raises(ValueError, match="non-finite"):
             pcg_solve(a, np.ones(6), x0=np.full(6, np.inf))
 
+    def test_exact_initial_guess_returned_unchanged(self):
+        # r = 0 gives r'Br = 0, which is no fault of the preconditioner
+        a = problems.laplace_1d(6)
+        x, report = pcg_solve(a, a.mat @ np.ones(6), x0=np.ones(6))
+        assert report.converged and report.iterations == 0
+        assert np.array_equal(x, np.ones(6))
+
     def test_initial_residual_that_overflows_rejected(self):
         # the initial guess is refused before any preconditioner runs
         a = problems.laplace_1d(6)
