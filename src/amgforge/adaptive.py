@@ -25,7 +25,7 @@ from . import coarsening, hierarchy as hmod, interpolation, sparse, strength
 # perfbench/tracer.py patches SymPseudoInverse in this module by name, so it stays bound.
 from .linalg import (SymPseudoInverse, _columns, _index_lists,  # noqa: F401
                      _refuse_beyond_cap, _stack_by_size)
-from .smoothers import make_smoother
+from .smoothers import _check_smoother, make_smoother
 
 _COND_HANDOFF = 1e8  # a QR fit whose ||R||_F ||R^-1||_F reaches this is refitted by SVD
 
@@ -38,7 +38,7 @@ class AdaptiveState:
     delta_history: list = field(default_factory=list)
     rounds: int = 0
     flags: list = field(default_factory=list)
-    smoother: str = "gs"
+    smoother: str = hmod.SetupConfig.smoother
     q: int = 4
 
 
@@ -244,8 +244,7 @@ def _descend(a, psi, smoother_kind, q, n0, delta0, theta):
         if part.n_aggregates >= hmod._STAGNATION * a.n_rows:
             return None
         vectors.append(_restrict_bamg(part, psi))
-        pattern = part.labels[:, None].tolist()
-        p = ls_fit_prolongation(psi, vectors[-1], pattern, s_max=4, eps_fit=1e-8,
+        p = ls_fit_prolongation(psi, vectors[-1], part.labels[:, None], s_max=4, eps_fit=1e-8,
                                 candidate_order=_aggregate_candidates(part, s))
         return p, smoother, s, part
 
@@ -260,8 +259,9 @@ def _cycle_delta(a, h, psi, q):
     return _block_delta(a, psi, after), after
 
 
-def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
-                    max_rounds=3, restrict="bamg", seed=0, theta=0.25):
+def bootstrap_setup(a, smoother=hmod.SetupConfig.smoother, m0=8, q=AdaptiveState.q,
+                    n0=hmod.SetupConfig.n0, delta0=0.7, max_rounds=3, restrict="bamg",
+                    seed=hmod.SetupConfig.seed, theta=hmod.SetupConfig.theta):
     """Adaptive setup loop; returns (accepted hierarchy, AdaptiveState).
 
     Rounds beyond the first enrich the test vectors with the lowest
@@ -274,6 +274,7 @@ def bootstrap_setup(a, smoother="gs", m0=8, q=4, n0=50, delta0=0.7,
         raise ValueError(f"unknown restrict mode {restrict!r}: bootstrap_setup "
                          "only fits by least squares ('bamg'); use "
                          "asa_initial_state for per-aggregate blocks")
+    _check_smoother(smoother)
     rng = np.random.default_rng(seed)
     psi = rng.uniform(-1.0, 1.0, size=(a.n_rows, m0))
     h, vectors = _descend(a, psi, smoother, q, n0, delta0, theta)
@@ -309,8 +310,6 @@ def mge_eigensolve(h, l_e, relax_sweeps=2):
     relax on (A - shift M) w = 0 with Jacobi damped by 0.5, then update the
     Rayleigh quotient (A phi, phi) / (M phi, phi).  A coarsest level beyond
     ``DENSE_CAP`` unknowns is refused before any dense work."""
-    if h.n_levels < 1:
-        raise ValueError("empty hierarchy")
     _refuse_beyond_cap(h.levels[-1].a.n_rows, "mge_eigensolve's coarsest pencil")
     mass = [sp.identity(h.levels[0].a.n_rows, format="csr")]
     comp = None
@@ -397,9 +396,9 @@ def asa_add_vector(state, psi):
 
 
 def asa_initial_state(a, partitions, psi0):
-    """Seed an aggregation-based adaptive state from fixed per-level
-    aggregates, Gauss-Seidel smoothed; delta is measured over 4 V-cycles."""
+    """Seed an aggregation-based adaptive state from fixed per-level aggregates,
+    smoothed and measured (over q V-cycles) at ``AdaptiveState``'s defaults."""
     psi0 = _columns(psi0)
-    h, vectors = _asa_hierarchy(a, partitions, psi0, "gs")
-    delta, _ = _cycle_delta(a, h, psi0, 4)
+    h, vectors = _asa_hierarchy(a, partitions, psi0, AdaptiveState.smoother)
+    delta, _ = _cycle_delta(a, h, psi0, AdaptiveState.q)
     return AdaptiveState(h, vectors, delta, [delta])

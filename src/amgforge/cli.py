@@ -130,10 +130,11 @@ def cmd_generate(args):
 
 
 def _detect_kernel(a):
-    """Constant-kernel detection via row sums (the usual Neumann case)."""
+    """Constant-kernel detection via row sums (the usual Neumann case): every
+    row sum is at most 1e-12 max|a_ij|, a test that reads A at any scale."""
     row_sums = np.abs(a.mat @ np.ones(a.n_rows))
     scale = np.abs(a.values).max() if a.nnz else 1.0
-    if row_sums.max() <= 1e-12 * max(scale, 1.0):
+    if row_sums.max() <= 1e-12 * scale:
         return np.ones((a.n_rows, 1))
     return None
 
@@ -295,8 +296,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (hierarchy.SetupError, interpolation.InterpolationError) as exc:
-        # InterpolationError is a ValueError, so it must be caught first; the
+    except (hierarchy.SetupError, interpolation.InterpolationError,
+            smoothers.SingularSmootherError) as exc:
+        # the last two are ValueErrors, so they must be caught first; the
         # hint names only the knobs that can cure a poor coarse space
         coarse_space = (hierarchy.StagnationError, interpolation.InterpolationError)
         hint = ("; try a different --set coarsening=... or --set theta=..."

@@ -121,8 +121,8 @@ def greedy_aggregate(s, order=None):
     Each root of the root sweep turns its closed neighborhood into an
     aggregate, numbered in visit order.  A second pass attaches each leftover
     vertex to the neighboring aggregate of minimal current size (ties to the
-    lowest aggregate id); vertices with no aggregated neighbor become
-    singleton aggregates and are reported.
+    lowest aggregate id); a leftover vertex has one, as the sweep touched one
+    of its neighbors.  An isolated vertex is a root, a singleton in ``isolated``.
     """
     g = _graph(s)
     order, indptr, indices, _, roots = _root_sweep(g, order)
@@ -134,10 +134,7 @@ def greedy_aggregate(s, order=None):
     for i in order:
         if labels[i] < 0:
             near = {labels[j] for j in indices[indptr[i]:indptr[i + 1]]} - {-1}
-            best = min(near, key=lambda k: (sizes[k], k), default=len(sizes))
-            if best == len(sizes):
-                sizes.append(0)
-            labels[i] = best
+            labels[i] = best = min(near, key=lambda k: (sizes[k], k))
             sizes[best] += 1
     isolated = tuple(np.flatnonzero(np.diff(g.indptr) == 0).tolist())
     return AggregatePartition(np.array(labels, dtype=np.int64), len(sizes), isolated)

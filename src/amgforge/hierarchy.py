@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import coarsening, interpolation, sparse, strength
-from .linalg import SymPseudoInverse, _columns
-from .smoothers import _check_direction, make_smoother
+from .linalg import SymPseudoInverse, _columns, _exponent
+from .smoothers import _check_direction, _check_smoother, make_smoother
 
 
 class SetupError(RuntimeError):
@@ -32,6 +32,7 @@ class IndefinitePreconditionerError(RuntimeError):
 
 # Coarsening that keeps at least this share of a level's unknowns stagnates.
 _STAGNATION = 0.95
+_STRENGTH = strength.StrengthConfig  # owns the defaults of the strength keys
 
 
 def _refuse_coarse_line_gs(smoother, level):
@@ -46,11 +47,11 @@ class SetupConfig:
     smoother: str = "gs"
     omega: float = None
     direction: str = "x"
-    strength: str = "classical_sym"
-    theta: float = 0.25
-    affinity_k: int = 8
-    affinity_nu: int = 4
-    seed: int = 0
+    strength: str = _STRENGTH.variant
+    theta: float = _STRENGTH.theta
+    affinity_k: int = _STRENGTH.affinity_k
+    affinity_nu: int = _STRENGTH.affinity_nu
+    seed: int = _STRENGTH.seed
     coarsening: str = "mis"
     ml: str = "1,2"
     cr: bool = False
@@ -206,10 +207,11 @@ def _build(a, step, max_levels):
 def setup(a, config=None):
     """Build a hierarchy by repeating strength -> coarsen -> interpolate -> Galerkin.
 
-    The config's names, and the ``ml`` and line-GS ``direction`` values they
-    read, are checked before the first level.  Coarsening stops once the
-    level size drops to ``n0`` or the level cap is reached, and aborts with
-    diagnostics when it stagnates (n_c >= 0.95 n).  Each Level keeps its
+    The config's names (coarsening, interpolation, smoother), and the ``ml``
+    and line-GS ``direction`` values they read, are checked before the first
+    level.  Coarsening stops once the level size drops to ``n0`` or the level
+    cap is reached, and aborts with diagnostics when it stagnates
+    (n_c >= 0.95 n).  Each Level keeps its
     splitting, and its strength matrix where one was read (else None).
     """
     if config is None:
@@ -226,6 +228,7 @@ def setup(a, config=None):
         wanted = "aggregation coarsening" if needs == "agg" else "a C/F coarsening"
         raise SetupError(f"interpolation {config.interpolation!r} needs {wanted}")
     coarsen = resolve(config)
+    _check_smoother(config.smoother)
     if config.smoother == "line-gs":
         _check_direction(config.direction)
     strength_config = config.strength_config()
@@ -301,11 +304,7 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if not (np.isfinite(b).all() and np.isfinite(x).all()):
         raise ValueError("right-hand side or initial guess has non-finite entries")
-
-    def exponent(v):
-        return int(np.frexp(np.abs(v).max(initial=0.0))[1])
-
-    scale = exponent(b)
+    scale = _exponent(b)
     b, x = np.ldexp(b, -scale), np.ldexp(x, -scale)  # exact: a power of two
     proj = (lambda v: v) if kernel is None else _kernel_projector(kernel)
     start = time.perf_counter()
@@ -331,7 +330,7 @@ def pcg_solve(a, b, preconditioner=None, tol=1e-8, max_it=500, kernel=None, x0=N
         # z = 2^shift B r: B reads r 2^shift, exact for a linear B
         z = proj(preconditioner(np.ldexp(r, shift) if shift else r))
         if p is None:
-            shift = (exponent(r) - exponent(z)) // 2
+            shift = (_exponent(r) - _exponent(z)) // 2
             z = np.ldexp(z, shift)  # a new array: an identity B returns r itself
         rz_new = float(r @ z)
         if not 0.0 < rz_new < np.inf:

@@ -218,8 +218,9 @@ def sa_prolongation(p_tent, a, nu=1, omega=None):
     """Prolongation smoothing P_S = (I - omega D^{-1} A)^nu P.
 
     Kernel vectors of A carried by the tentative prolongation survive
-    smoothing exactly.  Default omega is 4/(3 rho(D^{-1}A)).  Within
-    ``DENSE_CAP`` rows the column rank is checked.
+    smoothing exactly.  Default omega is 4/(3 rho(D^{-1}A)).  A damping
+    omega / a_ii that is not finite is refused by an InterpolationError that
+    names it.  Within ``DENSE_CAP`` rows the column rank is checked.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
@@ -227,7 +228,14 @@ def sa_prolongation(p_tent, a, nu=1, omega=None):
         return p_tent
     if omega is None:
         omega = 4.0 / (3.0 * estimate_rho_dinv_a(a, steps=20))
-    dinv = sp.diags(omega / a.diagonal())
+    diag = a.diagonal()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        damping = omega / diag  # refused by name below when not finite
+    if not np.isfinite(damping).all():
+        i = int(np.flatnonzero(~np.isfinite(damping))[0])
+        raise InterpolationError(f"SA damping omega / a_ii is not finite at row {i}: "
+                                 f"omega = {omega:.3g}, a_ii = {diag[i]:.3g}")
+    dinv = sp.diags(damping)
     mat = p_tent.matrix.mat
     for _ in range(nu):
         mat = mat - dinv @ (a.mat @ mat)

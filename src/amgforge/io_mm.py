@@ -74,40 +74,40 @@ def _content(lines, first_no):
             yield no, ln
 
 
-def _checked_entries(entries, n_rows, n_cols, nnz, symmetric, size_no):
-    """The 0-based (i, j, value) arrays of the (line number, line) entries,
-    checked one by one in file order; the first bad line raises the error
-    that names it."""
+def _checked_entries(entries, nnz, size_no):
+    """The (line number, line) entries parsed in file order up to the first
+    malformed line: the 0-based (i, j, value) arrays, each entry's line
+    number, and the malformed line's error, or None."""
     entries = list(entries)
     if len(entries) != nnz:
         raise MatrixMarketError(f"expected {nnz} entries, found {len(entries)}", size_no)
-    rows, cols, vals = [], [], []
+    parsed, error = [], None
     for no, ln in entries:
         fields = ln.split()
         if len(fields) != 3:
-            raise MatrixMarketError("entry must be 'i j value'", no)
+            error = MatrixMarketError("entry must be 'i j value'", no)
+            break
         try:
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+            parsed.append((int(fields[0]), int(fields[1]), float(fields[2])))
         except ValueError:
-            raise MatrixMarketError("malformed entry", no) from None
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise MatrixMarketError("index out of range", no)
-        if symmetric and j > i:
-            raise MatrixMarketError("symmetric file stores the lower triangle only", no)
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    return (np.array(rows, dtype=np.int64) - 1, np.array(cols, dtype=np.int64) - 1,
-            np.array(vals, dtype=float))
+            error = MatrixMarketError("malformed entry", no)
+            break
+    rows, cols, vals = zip(*parsed) if parsed else ((), (), ())
+    # an index beyond int64 makes an object array, and is out of range
+    return ((np.asarray(rows) - 1, np.asarray(cols) - 1, np.array(vals, dtype=float)),
+            [no for no, _ in entries], error)
 
 
-def _in_range(i, j, v, n_rows, n_cols, symmetric):
-    """The 0-based (i, j, value) arrays of 1-based i and j, or None when an
-    index is out of range or a symmetric file has an upper-triangle entry."""
-    bad = (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols)
-    if symmetric:
-        bad |= j > i
-    return None if bad.any() else (i - 1, j - 1, v)
+def _in_range(i, j, v, line_nos, n_rows, n_cols, symmetric):
+    """The (i, j, value) arrays, i and j as int64; the first entry k out of range,
+    or above the diagonal of a symmetric file, raises the error naming line_nos[k]."""
+    out = (i < 0) | (i >= n_rows) | (j < 0) | (j >= n_cols)
+    bad = out | (j > i) if symmetric else out
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MatrixMarketError("index out of range" if out[k] else
+                                "symmetric file stores the lower triangle only", line_nos[k])
+    return i.astype(np.int64, copy=False), j.astype(np.int64, copy=False), v
 
 
 _SPACE, _NEWLINE, _DOT, _PLUS, _MINUS, _ZERO, _NINE, _E = b" \n.+-09e"
@@ -153,7 +153,7 @@ def _plain_lines(raw, nnz):
     return bool((rank[1:][same] > rank[:-1][same]).all())
 
 
-def _fast_entries(body, nnz, n_rows, n_cols, symmetric):
+def _fast_entries(body, nnz, n_rows, n_cols):
     """The 0-based (i, j, value) arrays as scipy's mmread reads them, or None
     when the body is not plain lines or mmread rejects it."""
     if not body.isascii():
@@ -171,22 +171,30 @@ def _fast_entries(body, nnz, n_rows, n_cols, symmetric):
         return None
     if m.shape != (n_rows, n_cols) or m.nnz != nnz:
         return None
-    return _in_range(m.row.astype(np.int64) + 1, m.col.astype(np.int64) + 1, m.data,
-                     n_rows, n_cols, symmetric)
+    return m.row.astype(np.int64), m.col.astype(np.int64), m.data
+
+
+def _size_line(sizes, size_no, form):
+    """The integers of a size line laid out as ``form``, "rows cols nnz" or "rows cols"."""
+    if len(sizes) != len(form.split()):
+        raise MatrixMarketError(f"size line must be '{form}'", size_no)
+    try:
+        return [int(s) for s in sizes]
+    except ValueError:
+        raise MatrixMarketError("non-integer size entry", size_no) from None
 
 
 def _read_coordinate(body, sizes, size_no, symmetric):
-    if len(sizes) != 3:
-        raise MatrixMarketError("size line must be 'rows cols nnz'", size_no)
-    try:
-        n_rows, n_cols, nnz = (int(s) for s in sizes)
-    except ValueError:
-        raise MatrixMarketError("non-integer size entry", size_no) from None
-    entries = _fast_entries(body, nnz, n_rows, n_cols, symmetric)
+    n_rows, n_cols, nnz = _size_line(sizes, size_no, "rows cols nnz")
+    entries = _fast_entries(body, nnz, n_rows, n_cols)
+    # a plain body holds no blank or comment line: entry k is on line size_no + 1 + k
+    line_nos, error = range(size_no + 1, size_no + 1 + nnz), None
     if entries is None:
-        entries = _checked_entries(_content(body.split("\n"), size_no + 1),
-                                   n_rows, n_cols, nnz, symmetric, size_no)
-    i, j, v = entries
+        entries, line_nos, error = _checked_entries(_content(body.split("\n"), size_no + 1),
+                                                    nnz, size_no)
+    i, j, v = _in_range(*entries, line_nos, n_rows, n_cols, symmetric)
+    if error is not None:  # no entry before the malformed line is out of range
+        raise error
     if symmetric:
         # each off-diagonal entry followed by its mirror, as the file lists them
         keep = np.column_stack([np.ones(nnz, dtype=bool), i != j]).ravel()
@@ -220,12 +228,7 @@ def read_matrix_market(path):
     if fmt == "coordinate":
         return _read_coordinate(body, sizes, size_no, symmetry == "symmetric")
     # array format: dense column-major listing, used here for vectors
-    if len(sizes) != 2:
-        raise MatrixMarketError("size line must be 'rows cols'", size_no)
-    try:
-        n_rows, n_cols = (int(s) for s in sizes)
-    except ValueError:
-        raise MatrixMarketError("non-integer size entry", size_no) from None
+    n_rows, n_cols = _size_line(sizes, size_no, "rows cols")
     values = []
     for no, ln in _content(body.split("\n"), size_no + 1):
         fields = ln.split()

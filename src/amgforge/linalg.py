@@ -1,8 +1,8 @@
 """Shared linear algebra: the dense cap and its one refusal, the one coarse-solve
 rule (a sparse LU above a small order when nonsingular, a pseudo-inverse below
-it and for singular matrices within the cap),
-vectors as block columns, the one range check and CSR layout of local index
-lists, and the one size-stack rule of stacked local solves."""
+it and for singular matrices within the cap), vectors as block columns, the
+power-of-two exponent of a block, the one range check and CSR layout of local
+index lists, and the one size-stack rule of stacked local solves."""
 
 import itertools
 
@@ -99,6 +99,11 @@ class SymPseudoInverse:
 def _columns(x):
     """A vector or an (n, k) block as the columns of a float array; None stays None."""
     return None if x is None else np.atleast_2d(np.asarray(x, dtype=float).T).T
+
+
+def _exponent(v):
+    """e with max|v| in [2^(e-1), 2^e), 0 for a zero v: 2^-e v is exact."""
+    return int(np.frexp(np.abs(v).max(initial=0.0))[1])
 
 
 def _index_lists(rows, n, what):

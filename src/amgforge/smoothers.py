@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import _index_lists, _index_sets, _refuse_beyond_cap, _stack_by_size
+from .linalg import _exponent, _index_lists, _index_sets, _refuse_beyond_cap, _stack_by_size
 from .sparse import _masked_indptr
 
 
@@ -256,14 +256,27 @@ def estimate_rho_dinv_a(a, steps=200):
     """Spectral radius of D^{-1}A by power iteration in the D-inner product.
 
     Starts from a uniform random vector of seed 0 and stops early once the
-    Rayleigh quotient changes by less than 1e-10 relatively."""
-    d = _check_diagonal(a)
-    dinv = 1.0 / d
+    Rayleigh quotient changes by less than 1e-10 relatively.  A is read at
+    the even power of two that brings max|a_ii| near 1: exact, so 1/a_ii and
+    the D-norms stay in range at any scale of A.  A diagonal that gives no D
+    inner product (a 1/a_ii that overflows, or a start vector whose v'Dv is
+    not positive, as with a negative diagonal) is refused by a
+    SingularSmootherError that names it."""
+    diag = _check_diagonal(a)
+    shift = -2 * (_exponent(diag) // 2)  # even: the D-norm's square root stays exact
+    d = np.ldexp(diag, shift)
     v = np.random.default_rng(0).uniform(-1.0, 1.0, size=a.n_rows)
-    v /= np.sqrt(float(v @ (d * v)))
+    with np.errstate(over="ignore"):  # an overflow is refused by name below
+        dinv = 1.0 / d
+        v_dv = float(v @ (d * v))
+    if not (0.0 < v_dv < np.inf and np.isfinite(dinv).all()):
+        raise SingularSmootherError(
+            f"rho(D^-1 A) needs a D inner product, but the diagonal of A runs from "
+            f"{diag.min():.3g} to {diag.max():.3g} (v'Dv = {v_dv:.3g} for the start vector)")
+    v /= np.sqrt(v_dv)
     lam = 0.0
     for _ in range(steps):
-        w = dinv * (a @ v)
+        w = dinv * np.ldexp(a @ v, shift)
         lam_new = float(w @ (d * v))
         nrm = np.sqrt(max(float(w @ (d * w)), 0.0))
         if nrm == 0.0:
@@ -311,25 +324,29 @@ def _check_direction(direction):
 
 
 def block_partition_lines(n, direction="x"):
-    """Grid-line blocks of the lexicographic n x n grid, for line smoothing."""
+    """Grid-line blocks of the lexicographic n x n grid: row k is line k."""
     _check_direction(direction)
     idx = np.arange(n * n).reshape(n, n)  # row j holds line y = j
-    if direction == "x":
-        return [idx[j, :].copy() for j in range(n)]
-    return [idx[:, i].copy() for i in range(n)]
+    return idx if direction == "x" else idx.T
+
+
+SMOOTHERS = ("jacobi", "gs", "sgs", "line-gs")  # the kinds of make_smoother
+
+
+def _check_smoother(kind):
+    if kind not in SMOOTHERS:
+        raise ValueError(f"unknown smoother kind {kind!r}")
 
 
 def make_smoother(a, kind="gs", omega=None, direction="x"):
-    """Config-key smoother factory: jacobi | gs | sgs | line-gs."""
+    """Config-key smoother factory, one of ``SMOOTHERS``."""
+    _check_smoother(kind)
     if kind == "jacobi":
         return Jacobi(a, omega)
-    if kind == "gs":
-        return GaussSeidel(a, 1.0 if omega is None else omega)
-    if kind == "sgs":
-        return symmetrize(GaussSeidel(a, 1.0 if omega is None else omega))
     if kind == "line-gs":
         n = int(round(np.sqrt(a.n_rows)))
         if n * n != a.n_rows:
             raise ValueError("line-gs needs a square grid problem")
         return BlockGaussSeidel(a, block_partition_lines(n, direction))
-    raise ValueError(f"unknown smoother kind {kind!r}")
+    gs = GaussSeidel(a, 1.0 if omega is None else omega)
+    return symmetrize(gs) if kind == "sgs" else gs

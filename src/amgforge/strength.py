@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import _exponent
 from .sparse import Graph, _index_dtype, _masked_indptr, adjacency_graph, graph_from_scipy
 from .smoothers import GaussSeidel
 
@@ -103,7 +104,7 @@ def _pairwise_values(a, variant):
     # every measure is scale-free, so A is read at the power of two that puts
     # max|a_ii| in [0.5, 1): exact, and then no product of two entries
     # overflows or underflows at any scale of A
-    scale = -np.frexp(np.abs(diag).max(initial=0.0))[1]
+    scale = -_exponent(diag)
     vals, diag = np.ldexp(vals, scale), np.ldexp(diag, scale)
     if variant == "classical_sym":
         # pairs with a_ij > 0 are ignored (value 0); the symmetrization keeps
@@ -120,15 +121,13 @@ def _pairwise_values(a, variant):
         s = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
     elif variant == "cauchy_s2":
         s = -2.0 * vals / (diag[rows] + diag[cols])
-    elif variant == "pair_local_opt":
+    else:  # pair_local_opt; strength_matrix and matching pass only validated names
         s1 = np.abs(vals) / np.sqrt(diag[rows] * diag[cols])
         s2 = -2.0 * vals / (diag[rows] + diag[cols])
         # s2 = 1 only for an exactly singular 2x2 pair: infinitely strong
         s = np.full(vals.shape, np.inf)
         ok = s2 < 1.0
         s[ok] = (1.0 - s1[ok] * s1[ok]) / (1.0 - s2[ok])
-    else:
-        raise ValueError(f"unknown entrywise variant {variant!r}")
     return start, rows, cols, s
 
 

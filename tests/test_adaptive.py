@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -8,7 +10,7 @@ from amgforge.adaptive import (asa_add_vector, asa_initial_state,
                                bootstrap_setup, ls_fit_prolongation,
                                mge_eigensolve)
 from amgforge.coarsening import AggregatePartition
-from amgforge.strength import full_strength
+from amgforge.strength import StrengthConfig, full_strength
 
 
 from tests_support import (count_svd_calls, elasticity_like, point_block_partition,
@@ -306,6 +308,34 @@ class TestAsaAddVector:
         assert state.hierarchy.n_levels == 3
         with pytest.raises(ValueError, match="2 partitions"):
             asa_add_vector(state, self.z[:, 1])
+
+
+def test_bootstrap_checks_the_smoother_before_the_first_level():
+    # fd5 6 has 36 <= n0 unknowns: no smoother is ever built
+    with pytest.raises(ValueError, match="unknown smoother kind 'bogus'"):
+        bootstrap_setup(problems.fd_poisson_5pt(6), smoother="bogus")
+
+
+def test_defaults_have_one_owner():
+    params = inspect.signature(bootstrap_setup).parameters
+    for name in ("smoother", "n0", "seed", "theta"):
+        assert params[name].default == getattr(hierarchy.SetupConfig, name)
+    assert params["q"].default == adaptive.AdaptiveState.q
+    assert hierarchy.SetupConfig.theta == StrengthConfig.theta
+
+
+def test_one_entry_pattern_as_an_array_fits_as_the_lists_do():
+    a = problems.fd_poisson_5pt(10)
+    part = coarsening.greedy_aggregate(full_strength(a))
+    psi = np.random.default_rng(1).uniform(-1.0, 1.0, (a.n_rows, 3))
+    psi_c = adaptive._restrict_bamg(part, psi)
+    cands = adaptive._aggregate_candidates(part, full_strength(a))
+    got = ls_fit_prolongation(psi, psi_c, part.labels[:, None], s_max=4, eps_fit=1e-8,
+                              candidate_order=cands).matrix.mat
+    want = ls_fit_prolongation(psi, psi_c, part.labels[:, None].tolist(), s_max=4,
+                               eps_fit=1e-8, candidate_order=cands).matrix.mat
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_bootstrap_rejects_asa_restrict():

@@ -367,3 +367,73 @@ def test_solve_rhs_and_manufactured_conflict(tmp_path, capsys):
                  "--manufactured"])
     assert code == EXIT_USAGE
     assert "unrecognized arguments: --manufactured" in capsys.readouterr().err
+
+
+def test_small_scale_nonsingular_matrix_is_not_read_as_singular(tmp_path, capsys):
+    # the kernel test is relative to max|a_ij|: at 2^-100 every fd5 row sum
+    # is below an absolute 1e-12, and a projection onto the constants'
+    # complement would solve another system
+    a = problems.fd_poisson_5pt(12)
+    path = tmp_path / "small.mtx"
+    io_mm.write_matrix_market(path, sparse.from_scipy(a.mat * 2.0**-100, sparse.SYMMETRIC))
+    code = main(["solve", "--matrix", str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "singular system detected" not in out
+    assert "converged=True" in out.splitlines()[-1]
+
+
+def _negative_fd5():
+    return sparse.from_scipy(-problems.fd_poisson_5pt(12).mat, sparse.SYMMETRIC)
+
+
+def _tiny_jump():
+    a = problems.fe_jump_coefficient(48, 1e-6)[0]
+    return sparse.from_scipy(a.mat * 2.0**-1000, sparse.SYMMETRIC)
+
+
+@pytest.mark.parametrize("make, message", [
+    # SA's omega estimate meets a negative D-norm
+    (_negative_fd5, "needs a D inner product"),
+    # omega / a_ii overflows on a coarse level of a tiny-scaled matrix
+    (_tiny_jump, "SA damping omega / a_ii is not finite"),
+])
+def test_non_finite_sa_damping_is_setup_error(make, message, tmp_path, capsys):
+    # a failure the library makes is no fault of the input's values
+    path = tmp_path / "a.mtx"
+    io_mm.write_matrix_market(path, make())
+    code = main(["solve", "--matrix", str(path), "--set", "coarsening=aggregate",
+                 "--set", "interpolation=sa"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NONCONVERGENCE
+    assert "setup failed" in err and message in err and "non-finite" not in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--set", "cr=maybe"], None, "key 'cr' expects a boolean, got 'maybe'"),
+    (["--set", "theta"], None, "--set expects key=value, got 'theta'"),
+    ([], "theta = 0.3\nsmoother\n", ":2: expected key=value"),
+])
+def test_malformed_config_is_usage_error(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(["analyze", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [("yes", True), ("on", True), ("1", True),
+                                         ("no", False), ("off", False), ("FALSE", False)])
+def test_boolean_config_words(text, value):
+    assert load_config(overrides=[f"cr={text}"])["cr"] is value
+
+
+def test_declared_kernel_skips_detection(tmp_path, capsys):
+    path = tmp_path / "n.mtx"
+    io_mm.write_matrix_market(path, problems.fd_poisson_5pt(8, "neumann"))
+    code = main(["solve", "--matrix", str(path), "--kernel", "constants", "--set", "n0=20"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "singular system detected" not in out
+    assert "converged=True" in out.splitlines()[-1]

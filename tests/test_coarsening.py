@@ -111,6 +111,21 @@ def test_sweeps_on_random_graphs(n, seed, density, permuted):
     assert np.array_equal(np.unique(part.labels), np.arange(part.n_aggregates))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3),
+       st.booleans())
+def test_mop_up_opens_no_aggregate(n, seed, density, permuted):
+    # a leftover vertex has a touched neighbor, and every touched vertex lies
+    # in a root's aggregate; an isolated vertex is a root
+    g = random_graph(n, seed, density)
+    order = np.random.default_rng(seed).permutation(n) if permuted else None
+    roots = coarsening._root_sweep(g, order)[-1]
+    part = greedy_aggregate(g, order)
+    assert part.n_aggregates == len(roots)
+    assert part.labels[roots].tolist() == list(range(len(roots)))
+    assert set(part.isolated) <= set(roots)
+
+
 def _connected_in(s, members):
     members = set(int(m) for m in members)
     if not members:

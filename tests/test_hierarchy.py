@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
-from amgforge import (adaptive, analysis, coarsening, hierarchy, problems, smoothers,
-                      sparse, strength)
+from amgforge import (adaptive, analysis, coarsening, hierarchy, linalg, problems,
+                      smoothers, sparse, strength)
 from amgforge.hierarchy import (Hierarchy, IndefinitePreconditionerError,
                                 Level, SetupConfig, SetupError, pcg_solve,
                                 setup, vcycle_apply)
@@ -498,11 +498,29 @@ def test_setup_mismatched_builder_rejected():
     ({"coarsening": "aggressive", "ml": "1,2,3"}, SetupError, "ml expects"),
     ({"coarsening": "aggressive", "ml": "0,2"}, SetupError, "ml expects"),
     ({"smoother": "line-gs", "direction": "z"}, ValueError, "direction must be 'x' or 'y'"),
+    ({"smoother": "bogus"}, ValueError, "unknown smoother kind 'bogus'"),
 ])
 def test_config_checked_below_n0(config, error, match):
     # fd5 5 has 25 <= n0 unknowns, so no level is ever coarsened
     with pytest.raises(error, match=match):
         setup(problems.fd_poisson_5pt(5), config)
+
+
+def test_smoother_checked_before_the_first_level(monkeypatch):
+    # above n0 too, a bad name is refused before level 0's strength,
+    # coarsening and interpolation run
+    monkeypatch.setattr(strength, "strength_matrix", lambda *args: pytest.fail("S built"))
+    with pytest.raises(ValueError, match="unknown smoother kind 'bogus'"):
+        setup(problems.fd_poisson_5pt(20), {"smoother": "bogus"})
+
+
+@pytest.mark.parametrize("v, e", [([0.5], 0), ([1.0], 1), ([0.75, -3.0], 2), ([0.0], 0),
+                                  ([], 0), ([2.0**-1074], -1073), ([np.finfo(float).max], 1024)])
+def test_exponent_brings_the_largest_entry_into_half_to_one(v, e):
+    v = np.asarray(v, dtype=float)
+    assert linalg._exponent(v) == e
+    assert np.abs(np.ldexp(v, -e)).max(initial=0.5) >= 0.5
+    assert np.abs(np.ldexp(v, -e)).max(initial=0.0) < 1.0
 
 
 def test_ml_and_direction_checked_only_where_read():

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
-from amgforge import coarsening, interpolation, problems, smoothers, sparse
+from amgforge import coarsening, hierarchy, interpolation, problems, smoothers, sparse
 from amgforge.coarsening import AggregatePartition, CFSplitting
 from amgforge.interpolation import (InterpolationError, SupportSet,
                                     direct_interpolation,
@@ -247,6 +247,20 @@ class TestSmoothedAggregation:
         a = problems.fd_poisson_5pt(4)
         part = coarsening.greedy_aggregate(full_strength(a))
         assert verify_full_rank(sa_prolongation(ua_prolongation(part), a))
+
+    def test_damping_that_overflows_is_refused_by_name(self):
+        # on a coarse level of this tiny-scaled matrix omega / a_ii overflows;
+        # the refusal names the damping, not the input's values
+        a = problems.fe_jump_coefficient(48, 1e-6)[0]
+        tiny = sparse.from_scipy(a.mat * 2.0**-1000, sparse.SYMMETRIC)
+        with pytest.raises(InterpolationError, match="SA damping omega / a_ii is not finite"):
+            hierarchy.setup(tiny, {"coarsening": "aggregate", "interpolation": "sa"})
+
+    def test_damping_on_a_zero_diagonal_is_refused_by_name(self):
+        a = sparse.from_dense([[0.0, 1.0], [1.0, 2.0]], sparse.SYMMETRIC)
+        part = AggregatePartition(np.array([0, 0]), 1)
+        with pytest.raises(InterpolationError, match="not finite at row 0: omega = 0.5"):
+            sa_prolongation(ua_prolongation(part), a, omega=0.5)
 
 
 class TestEnergyMin:

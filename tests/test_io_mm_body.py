@@ -43,3 +43,18 @@ def test_comments_blanks_and_duplicates(tmp_path):
     assert a.symmetry == sparse.SYMMETRIC
     assert np.array_equal(a.toarray(), [[2.0, -1.5, 0.0], [-1.5, 0.0, -1.0],
                                         [0.0, -1.0, 4.0]])
+
+
+@pytest.mark.parametrize("text, message", [
+    (GENERAL + "2 2\n", "size line must be 'rows cols nnz'"),
+    (GENERAL + "2 2 x\n", "non-integer size entry"),
+    ("%%MatrixMarket matrix array real general\n% c\n2 1 1\n", "size line must be 'rows cols'"),
+    ("%%MatrixMarket matrix array real general\n2 1.5\n", "non-integer size entry"),
+])
+def test_bad_size_line_names_it(tmp_path, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    size_no = text.count("\n")
+    with pytest.raises(io_mm.MatrixMarketError) as err:
+        io_mm.read_matrix_market(path)
+    assert str(err.value) == f"line {size_no}: {message}"

@@ -154,3 +154,28 @@ def test_nonsymmetric_general_file_stays_general(tmp_path, fast):
     assert back.symmetry == sparse.GENERAL
     path.write_text(GENERAL + "1 2 1\n1 2 1.0\n")
     assert read(path, fast=fast)[0].symmetry == sparse.GENERAL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                         st.integers(-9, 9)), min_size=1, max_size=6))
+def test_paths_agree_on_range_and_triangle(tmp_path_factory, symmetric, entries):
+    # indices 0 and 4 are out of range of a 3 x 3 matrix: one range rule, read
+    # by both paths, names the same first bad line
+    path = tmp_path_factory.mktemp("mm") / "r.mtx"
+    path.write_text((SYMMETRIC if symmetric else GENERAL) + f"3 3 {len(entries)}\n"
+                    + "".join(f"{i} {j} {v}\n" for i, j, v in entries))
+    assert outcome(path, True) == outcome(path, False)
+
+
+def test_upper_triangle_of_a_plain_body_is_refused_on_the_fast_path(tmp_path):
+    # entry k of a plain body is on line size_no + 1 + k; no Python re-parse
+    path = tmp_path / "u.mtx"
+    path.write_text(SYMMETRIC + "% a comment\n3 3 3\n1 1 1.0\n3 1 2.0\n2 3 1.0\n")
+    parsed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_mm, "_checked_entries", lambda *args: parsed.append(args))
+        with pytest.raises(io_mm.MatrixMarketError) as err:
+            io_mm.read_matrix_market(path)
+    assert str(err.value) == "line 6: symmetric file stores the lower triangle only"
+    assert parsed == []

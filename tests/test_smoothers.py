@@ -10,7 +10,8 @@ from amgforge.analysis import materialize
 from amgforge.smoothers import (BlockGaussSeidel, GaussSeidel, Jacobi,
                                 SingularSmootherError, SubspaceCorrection,
                                 SymmetrizedSmoother, block_partition_lines,
-                                convergence_bound, make_smoother, symmetrize)
+                                convergence_bound, estimate_rho_dinv_a, make_smoother,
+                                symmetrize)
 from test_interpolation import random_m_matrix
 
 A2 = sparse.from_dense([[2.0, -1.0], [-1.0, 2.0]], sparse.SYMMETRIC)
@@ -432,3 +433,44 @@ def test_make_smoother_kinds():
     assert isinstance(make_smoother(a, "line-gs", direction="y"), BlockGaussSeidel)
     with pytest.raises(ValueError):
         make_smoother(a, "cheby")
+
+
+
+@pytest.mark.parametrize("n", [2, 6, 15])
+def test_line_gs_needs_a_square_grid(n):
+    with pytest.raises(ValueError, match="line-gs needs a square grid problem"):
+        make_smoother(problems.laplace_1d(n), "line-gs")
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_line_blocks_as_an_index_array(direction):
+    # row k is the k-th line; an array gives the LU of the list of lines
+    a, n = problems.fe_anisotropic(6, 1e-3), 6
+    blocks = block_partition_lines(n, direction)
+    assert blocks.shape == (n, n)
+    idx = np.arange(n * n).reshape(n, n)
+    assert np.array_equal(blocks, idx if direction == "x" else idx.T)
+    g = np.random.default_rng(0).standard_normal((a.n_rows, 2))
+    line = BlockGaussSeidel(a, blocks)
+    listed = BlockGaussSeidel(a, [row.copy() for row in blocks])
+    assert np.array_equal(line.action(g), listed.action(g))
+    assert np.array_equal(line.adjoint().action(g), listed.adjoint().action(g))
+
+
+class TestRhoEstimate:
+    @pytest.mark.parametrize("k", [-1000, -999, -3, 2, 1001])
+    def test_same_at_any_power_of_two_scale(self, k):
+        # A is read at an even power of two, so an even k keeps every bit
+        a = problems.fe_jump_coefficient(8, 1e-3)[0]
+        scaled = sparse.from_scipy(a.mat * 2.0**k, sparse.SYMMETRIC)
+        want = estimate_rho_dinv_a(a)
+        assert estimate_rho_dinv_a(scaled) == pytest.approx(want, rel=1e-12 if k % 2 else 0)
+
+    def test_negative_diagonal_refused_by_name(self):
+        # the start vector's D-norm would be the square root of a negative
+        # number, and SA and Jacobi would make a NaN damping from it
+        a = sparse.from_scipy(-problems.fd_poisson_5pt(6).mat, sparse.SYMMETRIC)
+        with pytest.raises(SingularSmootherError, match="needs a D inner product.*from -4 to -4"):
+            estimate_rho_dinv_a(a)
+        with pytest.raises(SingularSmootherError, match="needs a D inner product"):
+            make_smoother(a, "jacobi")

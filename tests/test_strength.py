@@ -288,3 +288,11 @@ def test_graph_from_scipy_matches_sum_with_transpose(n, nnz, seed, fmt):
 def test_graph_from_scipy_refuses_non_square():
     with pytest.raises(ValueError, match=r"\(2, 3\)"):
         sparse.graph_from_scipy(sp.csr_matrix(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("variant", ["classical_sym", "affinity"])
+def test_general_tagged_matrix_refused(variant):
+    # the tag decides, not the values: this A is bit-symmetric
+    a = sparse.SparseMatrix(problems.fd_poisson_5pt(4).mat, sparse.GENERAL)
+    with pytest.raises(ValueError, match="strength matrices are defined for symmetric A"):
+        strength_matrix(a, StrengthConfig(variant=variant))
