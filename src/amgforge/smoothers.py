@@ -270,9 +270,8 @@ def estimate_rho_dinv_a(a, steps=200):
         dinv = 1.0 / d
         v_dv = float(v @ (d * v))
     if not (0.0 < v_dv < np.inf and np.isfinite(dinv).all()):
-        raise SingularSmootherError(
-            f"rho(D^-1 A) needs a D inner product, but the diagonal of A runs from "
-            f"{diag.min():.3g} to {diag.max():.3g} (v'Dv = {v_dv:.3g} for the start vector)")
+        raise SingularSmootherError(f"rho(D^-1 A) needs a D inner product, but the "
+                                    f"diagonal of A runs from {diag.min():.3g} to {diag.max():.3g}")
     v /= np.sqrt(v_dv)
     lam = 0.0
     for _ in range(steps):

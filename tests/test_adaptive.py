@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -10,7 +8,7 @@ from amgforge.adaptive import (asa_add_vector, asa_initial_state,
                                bootstrap_setup, ls_fit_prolongation,
                                mge_eigensolve)
 from amgforge.coarsening import AggregatePartition
-from amgforge.strength import StrengthConfig, full_strength
+from amgforge.strength import full_strength
 
 
 from tests_support import (count_svd_calls, elasticity_like, point_block_partition,
@@ -314,14 +312,6 @@ def test_bootstrap_checks_the_smoother_before_the_first_level():
     # fd5 6 has 36 <= n0 unknowns: no smoother is ever built
     with pytest.raises(ValueError, match="unknown smoother kind 'bogus'"):
         bootstrap_setup(problems.fd_poisson_5pt(6), smoother="bogus")
-
-
-def test_defaults_have_one_owner():
-    params = inspect.signature(bootstrap_setup).parameters
-    for name in ("smoother", "n0", "seed", "theta"):
-        assert params[name].default == getattr(hierarchy.SetupConfig, name)
-    assert params["q"].default == adaptive.AdaptiveState.q
-    assert hierarchy.SetupConfig.theta == StrengthConfig.theta
 
 
 def test_one_entry_pattern_as_an_array_fits_as_the_lists_do():
