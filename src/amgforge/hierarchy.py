@@ -211,8 +211,8 @@ def setup(a, config=None):
     and line-GS ``direction`` values they read, are checked before the first
     level.  Coarsening stops once the level size drops to ``n0`` or the level
     cap is reached, and aborts with diagnostics when it stagnates
-    (n_c >= 0.95 n).  Each Level keeps its
-    splitting, and its strength matrix where one was read (else None).
+    (n_c >= 0.95 n).  Each Level keeps its splitting, and its strength matrix
+    where one was read (else None).
     """
     if config is None:
         config = SetupConfig()
